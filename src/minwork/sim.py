@@ -25,6 +25,7 @@ from .model import (
     PolicyX,
     ServerSpec,
     SystemState,
+    _kernel_matrices,
 )
 
 TAIL_WARN = 1e-6
@@ -115,9 +116,57 @@ class TruncatedPMF:
         return out
 
 
-def _policy_table(theta) -> np.ndarray:
-    table = theta.policy_table()
-    return np.asarray(table, dtype=float)
+def _policy_levels(theta, n_s: int, q_max: int | None = None) -> np.ndarray:
+    """Work probabilities of theta indexed [q, w, s-1].
+
+    With q_max, one row per queue level q = 0..q_max; otherwise the
+    policy's own rows, the last of which holds for every larger q.
+    """
+    table = np.asarray(theta.policy_table(), dtype=float)
+    if table.ndim != 3 or table.shape[1:] != (2, n_s):
+        raise ValueError("policy table does not match spec")
+    if q_max is None:
+        return table
+    return table[np.minimum(np.arange(q_max + 1), table.shape[0] - 1)]
+
+
+def _capped_chain(spec: ServerSpec, lam: float, theta, q_max: int):
+    """Transition matrix of the queue-capped chain as COO triplets
+    (rows, cols, vals), zeros dropped, in the TruncatedPMF state order.
+
+    At each level q >= 1 a reduced state works with the policy's
+    probability (surely when busy) and moves by the reduced kernels
+    P_W, P_R. That splits into three flows: completion to (s', A) one
+    level down, rest to (s', A) and work without completion to (s', B).
+    An arrival, w.p. lam and never at q_max, lifts each flow one level.
+    An empty queue rests, so level 0 has only its two rest blocks.
+    """
+    n = spec.n_s
+    pw, pr = _kernel_matrices(spec)
+    p = _policy_levels(theta, n, q_max)[1:].reshape(q_max, 2 * n, 1)
+    p[:, n:] = 1.0
+    done = p * pw[:, :n]
+    busy = p * pw[:, n:]
+    idle = (1.0 - p) * pr[:, :n]
+    arr = np.full((q_max, 1, 1), lam)
+    arr[-1] = 0.0
+    stay = 1.0 - arr
+
+    q = np.arange(1, q_max + 1)[:, None, None]
+    first = (2 * q - 1) * n  # index of (1, A, q)
+    src = first + np.arange(2 * n)[:, None]
+    col_a, col_y = np.arange(n), np.arange(2 * n)
+    blocks = [  # (rows, cols, vals), broadcast against each other
+        (col_a[:, None], col_a, (1.0 - lam) * pr[:n, :n]),  # level 0, no arrival
+        (col_a[:, None], n + col_a, lam * pr[:n, :n]),  # level 0, arrival
+        (src, np.maximum(first - 2 * n, 0) + col_a, done * stay),  # one level down
+        (src, first + col_y, np.concatenate([done * arr + idle * stay, busy * stay], axis=2)),  # same level
+        (src[:-1], first[:-1] + 2 * n + col_y, np.concatenate([idle * arr, busy * arr], axis=2)[:-1]),  # one up
+    ]
+    triplets = [np.broadcast_arrays(*block) for block in blocks]
+    rows, cols, vals = (np.concatenate([t[i].ravel() for t in triplets]) for i in range(3))
+    keep = vals != 0.0
+    return rows[keep], cols[keep], vals[keep]
 
 
 def truncated_stationary(
@@ -138,54 +187,8 @@ def truncated_stationary(
     if not 0.0 < lam < 1.0:
         raise ValueError("lam must lie in (0, 1)")
     n = spec.n_s
-    table = _policy_table(theta)
-    levels = table.shape[0] - 1
-    if table.shape[2] != n:
-        raise ValueError("policy table does not match spec")
-
-    idx = np.arange(n)
-    up = np.zeros((n, n))
-    dn = np.zeros((n, n))
-    up[idx, idx] = 1.0 - spec.rho_up
-    up[idx[:-1], idx[:-1] + 1] = spec.rho_up[:-1]
-    dn[idx, idx] = 1.0 - spec.rho_down
-    dn[idx[1:], idx[1:] - 1] = spec.rho_down[1:]
-    w_to_a = spec.mu[:, None] * up
-    w_to_b = (1.0 - spec.mu)[:, None] * up
-
-    def start(q, w):
-        return n + (q - 1) * 2 * n + w * n if q >= 1 else 0
-
-    blocks = []  # (row_start, col_start, dense n x n)
-
-    # q = 0: rest forced, available only
-    blocks.append((0, start(1, 0), lam * dn))
-    blocks.append((0, 0, (1.0 - lam) * dn))
-
-    for q in range(1, q_max + 1):
-        lam_q = lam if q < q_max else 0.0
-        p_work_a = table[min(q, levels), 0]
-        for w in (0, 1):
-            src = start(q, w)
-            p = p_work_a if w == 0 else np.ones(n)
-            pw = p[:, None]
-            if lam_q > 0.0:
-                blocks.append((src, start(q, 0), pw * w_to_a * lam_q))
-                blocks.append((src, start(q + 1, 1), pw * w_to_b * lam_q))
-            blocks.append((src, start(q - 1, 0), pw * w_to_a * (1.0 - lam_q)))
-            blocks.append((src, start(q, 1), pw * w_to_b * (1.0 - lam_q)))
-            if w == 0:
-                pr = (1.0 - p)[:, None]
-                if lam_q > 0.0:
-                    blocks.append((src, start(q + 1, 0), pr * dn * lam_q))
-                blocks.append((src, start(q, 0), pr * dn * (1.0 - lam_q)))
-
+    rows, cols, vals = _capped_chain(spec, lam, theta, q_max)
     size = n * (1 + 2 * q_max)
-    rows = np.concatenate([r + np.repeat(idx, n) for r, _, _ in blocks])
-    cols = np.concatenate([c + np.tile(idx, n) for _, c, _ in blocks])
-    vals = np.concatenate([b.ravel() for _, _, b in blocks])
-    keep = vals != 0.0
-    rows, cols, vals = rows[keep], cols[keep], vals[keep]
     P = sp.coo_matrix((vals, (rows, cols)), shape=(size, size)).tocsr()
 
     # Solve balance with one row swapped for x_ref = 1, so x = pi / pi_ref
@@ -254,8 +257,8 @@ def truncated_stationary_auto(
             return pmf
         if q >= q_cap:
             raise NumericalFailure(
-                f"tail mass {pmf.tail_mass:.3e} still above {tail_tol} at q_max={q}; "
-                "the policy may not stabilize this arrival rate"
+                f"truncation cap q_cap={q_cap} ran out: tail mass {pmf.tail_mass:.3e} "
+                f"is still above tail_tol={tail_tol:g} at q_max={q}"
             )
         q *= 2
 
@@ -263,33 +266,14 @@ def truncated_stationary_auto(
 def truncated_utilization(pmf: TruncatedPMF, theta) -> float:
     """Stationary probability of working: sum over states of
     pi(x) theta(x)."""
-    table = _policy_table(theta)
-    levels = table.shape[0] - 1
-    n = pmf.n_s
-    body = pmf.probs[n:].reshape(pmf.q_max, 2, n)
-    out = 0.0
-    for q in range(1, pmf.q_max + 1):
-        row = table[min(q, levels)]
-        out += float(np.sum(body[q - 1] * row))
-    return out
+    work = _policy_levels(theta, pmf.n_s, pmf.q_max)[1:]
+    return float(np.sum(pmf.probs[pmf.n_s :].reshape(work.shape) * work))
 
 
 def truncated_service_rate(spec: ServerSpec, pmf: TruncatedPMF, theta) -> float:
     """Stationary completions per step: sum of pi(x) theta(x) mu(s)."""
-    table = _policy_table(theta)
-    levels = table.shape[0] - 1
-    n = pmf.n_s
-    body = pmf.probs[n:].reshape(pmf.q_max, 2, n)
-    out = 0.0
-    for q in range(1, pmf.q_max + 1):
-        row = table[min(q, levels)]
-        out += float(np.sum(body[q - 1] * row * spec.mu[None, :]))
-    return out
-
-
-def empty_queue_mass(pmf: TruncatedPMF) -> float:
-    """Stationary probability of an empty queue."""
-    return pmf.empty_mass()
+    work = _policy_levels(theta, pmf.n_s, pmf.q_max)[1:]
+    return float(np.sum(pmf.probs[pmf.n_s :].reshape(work.shape) * work * spec.mu))
 
 
 def y_marginal_distance(
@@ -360,6 +344,75 @@ def _se(values: np.ndarray) -> float:
     return float(values.std(ddof=1) / np.sqrt(values.size))
 
 
+def _replicate(
+    spec: ServerSpec,
+    lam: float,
+    table: np.ndarray,
+    cfg: SimConfig,
+    rep: int,
+    start: SystemState,
+    burn: int,
+    target: SystemState | None = None,
+    trace_rows: list | None = None,
+):
+    """Replication rep of cfg from start: the step loop of both
+    simulators.
+
+    Returns the tallies over steps k >= burn as (works, completions,
+    empty-queue steps, queue sum, queue max, visits per reduced state at
+    q >= 1), and the gaps between successive visits to target.
+    """
+    n = spec.n_s
+    levels = table.shape[0] - 1
+    tbl = table.tolist()
+    mu = spec.mu.tolist()
+    r_up = spec.rho_up.tolist()
+    r_dn = spec.rho_down.tolist()
+    # q = -1 never occurs, so without a target no step matches
+    t_s, t_w, t_q = (target.s, int(target.w), target.q) if target is not None else (0, 0, -1)
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(cfg.seed, spawn_key=(rep,))))
+    s, w, q = start.s, int(start.w), start.q
+    works = done_count = empty = q_sum = q_max_seen = 0
+    y_counts = [0] * (2 * n)
+    gaps = []
+    last = 0
+    k = 0
+    while k < cfg.horizon:
+        for u_act, u_done, u_arr, u_move in rng.random((min(1 << 16, cfg.horizon - k), 4)):
+            counting = k >= burn
+            if counting:
+                if q == 0:
+                    empty += 1
+                else:
+                    y_counts[w * n + s - 1] += 1
+                q_sum += q
+                if q > q_max_seen:
+                    q_max_seen = q
+            p = tbl[q if q < levels else levels][w][s - 1]
+            work = u_act < p
+            done = work and (u_done < mu[s - 1])
+            arrival = u_arr < lam
+            if counting:
+                if work:
+                    works += 1
+                if done:
+                    done_count += 1
+            if trace_rows is not None:
+                trace_rows.append((k, s, w, q, int(work), int(arrival), int(done)))
+            q = q - (1 if done else 0) + (1 if arrival else 0)
+            w = 1 if (work and not done) else 0
+            if work:
+                if u_move < r_up[s - 1]:
+                    s += 1
+            elif u_move < r_dn[s - 1]:
+                s -= 1
+            k += 1
+            if q == t_q and s == t_s and w == t_w:
+                gaps.append(k - last)
+                last = k
+    return (works, done_count, empty, q_sum, q_max_seen, y_counts), gaps
+
+
 def simulate(spec: ServerSpec, lam: float, theta, cfg: SimConfig) -> SimResult:
     """Synchronous simulation of the full chain under theta.
 
@@ -370,75 +423,19 @@ def simulate(spec: ServerSpec, lam: float, theta, cfg: SimConfig) -> SimResult:
     """
     if not 0.0 < lam < 1.0:
         raise ValueError("lam must lie in (0, 1)")
-    n = spec.n_s
-    table = _policy_table(theta)
-    if table.shape[2] != n:
-        raise ValueError("policy table does not match spec")
-    levels = table.shape[0] - 1
-    tbl = table.tolist()
-    mu = spec.mu.tolist()
-    r_up = spec.rho_up.tolist()
-    r_dn = spec.rho_down.tolist()
-    horizon, burn = cfg.horizon, cfg.burn_in
-    counted = horizon - burn
-
-    rep_util = np.empty(cfg.replications)
-    rep_srv = np.empty(cfg.replications)
-    rep_empty = np.empty(cfg.replications)
-    rep_qmean = np.empty(cfg.replications)
-    rep_qmax = np.empty(cfg.replications, dtype=np.int64)
-    y_counts_total = np.zeros(2 * n)
+    table = _policy_levels(theta, spec.n_s)
+    counted = cfg.horizon - cfg.burn_in
+    tallies = np.empty((cfg.replications, 5))
+    y_counts_total = np.zeros(spec.n_y)
     trace_rows = [] if cfg.trace else None
-
     for rep in range(cfg.replications):
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(cfg.seed, spawn_key=(rep,))))
-        s, w, q = cfg.initial_state.s, int(cfg.initial_state.w), cfg.initial_state.q
-        works = 0
-        done_count = 0
-        empty = 0
-        q_sum = 0
-        q_max_seen = 0
-        y_counts = [0] * (2 * n)
-        k = 0
-        while k < horizon:
-            chunk = min(1 << 16, horizon - k)
-            u = rng.random((chunk, 4))
-            for row in range(chunk):
-                u_act, u_done, u_arr, u_move = u[row]
-                counting = k >= burn
-                if counting:
-                    if q == 0:
-                        empty += 1
-                    else:
-                        y_counts[w * n + s - 1] += 1
-                    q_sum += q
-                    if q > q_max_seen:
-                        q_max_seen = q
-                p = tbl[q if q < levels else levels][w][s - 1]
-                work = u_act < p
-                done = work and (u_done < mu[s - 1])
-                arrival = u_arr < lam
-                if counting:
-                    if work:
-                        works += 1
-                    if done:
-                        done_count += 1
-                if trace_rows is not None:
-                    trace_rows.append((k, s, w, q, int(work), int(arrival), int(done)))
-                q = q - (1 if done else 0) + (1 if arrival else 0)
-                w = 1 if (work and not done) else 0
-                if work:
-                    if u_move < r_up[s - 1]:
-                        s += 1
-                elif u_move < r_dn[s - 1]:
-                    s -= 1
-                k += 1
-        rep_util[rep] = works / counted
-        rep_srv[rep] = done_count / counted
-        rep_empty[rep] = empty / counted
-        rep_qmean[rep] = q_sum / counted
-        rep_qmax[rep] = q_max_seen
+        (*totals, y_counts), _ = _replicate(
+            spec, lam, table, cfg, rep, cfg.initial_state, cfg.burn_in, trace_rows=trace_rows
+        )
+        tallies[rep] = totals
         y_counts_total += np.asarray(y_counts, dtype=float) / counted
+    rep_util, rep_srv, rep_empty, rep_qmean = (tallies[:, :4] / counted).T
+    rep_qmax = tallies[:, 4].astype(np.int64)
 
     return SimResult(
         empirical_utilization=float(rep_util.mean()),
@@ -476,46 +473,14 @@ def hitting_time_stats(spec: ServerSpec, lam: float, theta, target: SystemState,
     cycles; burn-in is ignored. censored is set when some replication
     never returns within its horizon.
     """
-    n = spec.n_s
-    table = _policy_table(theta)
-    levels = table.shape[0] - 1
-    tbl = table.tolist()
-    mu = spec.mu.tolist()
-    r_up = spec.rho_up.tolist()
-    r_dn = spec.rho_down.tolist()
-    t_s, t_w, t_q = target.s, int(target.w), target.q
-
+    table = _policy_levels(theta, spec.n_s)
     gaps = []
     censored = False
     for rep in range(cfg.replications):
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(cfg.seed, spawn_key=(rep,))))
-        s, w, q = t_s, t_w, t_q
-        last = 0
-        seen = False
-        k = 0
-        while k < cfg.horizon:
-            chunk = min(1 << 16, cfg.horizon - k)
-            u = rng.random((chunk, 4))
-            for row in range(chunk):
-                u_act, u_done, u_arr, u_move = u[row]
-                p = tbl[q if q < levels else levels][w][s - 1]
-                work = u_act < p
-                done = work and (u_done < mu[s - 1])
-                arrival = u_arr < lam
-                q = q - (1 if done else 0) + (1 if arrival else 0)
-                w = 1 if (work and not done) else 0
-                if work:
-                    if u_move < r_up[s - 1]:
-                        s += 1
-                elif u_move < r_dn[s - 1]:
-                    s -= 1
-                k += 1
-                if s == t_s and w == t_w and q == t_q:
-                    gaps.append(k - last)
-                    last = k
-                    seen = True
-        if not seen:
-            censored = True
+        # burn-in spans the whole run: return times need no tallies
+        _, rep_gaps = _replicate(spec, lam, table, cfg, rep, target, cfg.horizon, target=target)
+        gaps += rep_gaps
+        censored = censored or not rep_gaps
 
     if not gaps:
         return HittingStats(mean=float("nan"), count=0, censored=True, min_time=0, max_time=0)

@@ -6,9 +6,7 @@ stabilizing policy: it walks the frontier to a service-rate target,
 tightens the LP floor parameter until the LP value is close enough to
 the frontier, then backs the service rate toward the arrival rate
 until the queue-aware utilization of the extracted policy is certified
-by the truncated oracle. The analytic route that certifies the last
-step through mixing constants is kept behind a flag; its constants
-underflow on realistic models.
+by the truncated oracle.
 """
 
 from __future__ import annotations
@@ -17,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import mixing_constants, service_rate
+from .chain import service_rate
 from .frontier import (
     NotStabilizableError,
     frontier,
@@ -27,6 +25,7 @@ from .frontier import (
 from .model import NumericalFailure, PolicyX, PolicyY, ServerSpec, ServerState
 from .sim import (
     TruncatedPMF,
+    _policy_levels,
     truncated_stationary_auto,
     truncated_utilization,
 )
@@ -35,6 +34,7 @@ STABLE = "stable-irreducible-aperiodic"
 NOT_GUARANTEED = "not-guaranteed"
 
 EPS_GRID = tuple(10.0 ** (-k) for k in range(1, 9))
+MAX_HALVINGS = 60  # service-rate halvings toward lam
 
 
 class ProjectionUndefinedError(ValueError):
@@ -83,17 +83,10 @@ def project_policy(theta, pi_x: TruncatedPMF) -> PolicyY:
     """Occupation-weighted average of theta over the queue, per reduced
     state. Sums run over the truncated support including q = 0."""
     n = pi_x.n_s
-    table = np.asarray(theta.policy_table(), dtype=float)
-    if table.shape[2] != n:
-        raise ValueError("policy table does not match PMF")
-    levels = table.shape[0] - 1
-
+    work = _policy_levels(theta, n, pi_x.q_max)
     den = pi_x.y_totals()
-    num = table[0, 0] * pi_x.probs[:n]
-    num = np.concatenate([num, np.zeros(n)])
-    body = pi_x.probs[n:].reshape(pi_x.q_max, 2, n)
-    for q in range(1, pi_x.q_max + 1):
-        num += (table[min(q, levels)] * body[q - 1]).reshape(-1)
+    num = (work[1:] * pi_x.probs[n:].reshape(work[1:].shape)).sum(axis=0).reshape(-1)
+    num[:n] += work[0, 0] * pi_x.probs[:n]
 
     dead = np.flatnonzero(den == 0.0)
     if dead.size:
@@ -116,19 +109,11 @@ def classify_stability(spec: ServerSpec, lam: float, theta) -> str:
     return NOT_GUARANTEED
 
 
-def _certified_excess_bound(beta: float, eta: float, gap: float) -> float:
-    return (beta + eta) / beta * np.sqrt(gap) + 3.0 / beta * gap
-
-
 def synthesize(
     spec: ServerSpec,
     lam: float,
     delta: float,
-    eps_grid=EPS_GRID,
-    analytic_nu: bool = False,
     q_max: int = 512,
-    tail_tol: float = 1e-10,
-    max_halvings: int = 60,
 ) -> SynthesisResult:
     """Produce a stabilizing queue-aware policy whose utilization is
     within delta of the infimum at arrival rate lam.
@@ -140,9 +125,8 @@ def synthesize(
     service rate at that eps on the working grid, shrinking eps
     otherwise; (4) halve the service rate toward lam until the
     truncated-oracle utilization of the extracted lifted policy clears
-    frontier(lam) + delta. With analytic_nu the last step instead uses
-    the mixing-constant bound, which raises when delta is out of reach
-    of double precision.
+    frontier(lam) + delta. The oracle starts at q_max and doubles it
+    until its tail mass is below 1e-10.
     """
     if delta <= 0.0:
         raise ValueError("delta must be positive")
@@ -172,7 +156,7 @@ def synthesize(
 
     eps_dag = None
     best_eps_gap = np.inf
-    for eps in eps_grid:
+    for eps in EPS_GRID:
         res = lp(eps, nu_dag)
         if not res.feasible:
             continue
@@ -188,10 +172,10 @@ def synthesize(
         )
 
     # monotonicity confirmation on the working service-rate grid
-    working = [lam + (nu_dag - lam) * 2.0**-m for m in range(max_halvings, 0, -1)]
+    working = [lam + (nu_dag - lam) * 2.0**-m for m in range(MAX_HALVINGS, 0, -1)]
     working.append(nu_dag)
     eps_star = None
-    remaining = [e for e in eps_grid if e <= eps_dag]
+    remaining = [e for e in EPS_GRID if e <= eps_dag]
     for eps in remaining:
         values = []
         ok = True
@@ -213,48 +197,25 @@ def synthesize(
             raise NumericalFailure(f"LP infeasible at nu={nu}, eps={eps_star}")
         phi = policy_from_occupation(res.measure)
         theta = lift_policy(phi)
-        pmf = truncated_stationary_auto(spec, lam, theta, q_max=q_max, tail_tol=tail_tol)
+        pmf = truncated_stationary_auto(spec, lam, theta, q_max=q_max)
         return res, theta, pmf, truncated_utilization(pmf, theta)
 
-    if analytic_nu:
-        mc = mixing_constants(spec, lam, eps_star)
-        beta, eta = mc.beta, mc.eta_eps
-        floor_gap = np.nextafter(lam, 1.0) - lam
-        b_min = _certified_excess_bound(beta, eta, floor_gap)
-        if not np.isfinite(b_min) or b_min > delta / 3.0:
-            raise GapUnachievableError(
-                "mixing constants certify no service rate within delta/3 at double precision",
-                smallest_gap=3.0 * b_min,
-            )
-        a, b = 3.0 / beta, (beta + eta) / beta
-        u = (-b + np.sqrt(b * b + 4.0 * a * delta / 3.0)) / (2.0 * a)
-        nu_sel = lam + u * u
-        if not lam < nu_sel < nu_dag:
-            nu_sel = lam + min(u * u, (nu_dag - lam) / 2.0)
-        if nu_sel <= lam:
-            raise GapUnachievableError(
-                "certified service rate underflows to the arrival rate",
-                smallest_gap=3.0 * b_min,
-            )
-        res, theta, pmf, util = evaluate(nu_sel)
-        accepted = (nu_sel, res, theta, pmf, util)
-    else:
-        accepted = None
-        best_util_gap = np.inf
-        for m in range(1, max_halvings + 1):
-            nu_m = lam + (nu_dag - lam) * 2.0**-m
-            if nu_m <= lam:
-                break
-            res, theta, pmf, util = evaluate(nu_m)
-            best_util_gap = min(best_util_gap, max(util - u_target, 0.0))
-            if util <= u_target + delta:
-                accepted = (nu_m, res, theta, pmf, util)
-                break
-        if accepted is None:
-            raise GapUnachievableError(
-                "oracle utilization never cleared frontier(lam) + delta",
-                smallest_gap=best_util_gap,
-            )
+    accepted = None
+    best_util_gap = np.inf
+    for m in range(1, MAX_HALVINGS + 1):
+        nu_m = lam + (nu_dag - lam) * 2.0**-m
+        if nu_m <= lam:
+            break
+        res, theta, pmf, util = evaluate(nu_m)
+        best_util_gap = min(best_util_gap, max(util - u_target, 0.0))
+        if util <= u_target + delta:
+            accepted = (nu_m, res, theta, pmf, util)
+            break
+    if accepted is None:
+        raise GapUnachievableError(
+            "oracle utilization never cleared frontier(lam) + delta",
+            smallest_gap=best_util_gap,
+        )
 
     nu_sel, res, theta, pmf, util = accepted
     if res.value > u_target + delta + 1e-8:

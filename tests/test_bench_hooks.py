@@ -1,0 +1,52 @@
+"""The names the benchmark's tracer wraps must exist in the program.
+
+bench/tracing.py replaces module attributes by name. A refactor that
+renames or stops calling one of them would break the traced benchmark
+run, so this test resolves every name and runs a traced oracle call.
+"""
+
+import importlib
+import pathlib
+import types
+
+import scipy.sparse.linalg
+
+from minwork.chain import threshold_policy
+from minwork.synthesis import lift_policy
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def _tracing():
+    # executed from source, so no bytecode cache is written under bench/
+    path = ROOT / "bench" / "tracing.py"
+    module = types.ModuleType("bench_tracing")
+    exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
+    return module
+
+
+def test_traced_names_resolve():
+    tracing = _tracing()
+    for mod_name, attr, _ in tracing.INTERNAL_BOUNDARIES + tracing.API:
+        assert hasattr(importlib.import_module(mod_name), attr), f"{mod_name}.{attr}"
+
+
+def test_tracer_installs_records_and_restores(spec5):
+    tracing = _tracing()
+    sim = importlib.import_module("minwork.sim")
+    before = {(m, a): getattr(importlib.import_module(m), a) for m, a, _ in tracing.INTERNAL_BOUNDARIES}
+    tracer = tracing.Tracer()
+    restore = tracer.install()
+    try:
+        api = tracing.program_api(tracer)
+        tracer.enabled = True
+        tracer.round = 0
+        api.truncated_stationary_auto(spec5, 0.15, lift_policy(threshold_policy(5, 5)))
+    finally:
+        restore()
+    names = [r["name"] for r in tracer.records()]
+    assert names[:3] == ["sim.oracle.auto", "sim.oracle", "sim.oracle.solve"]
+    assert tracer.records()[1]["info"] == {"q_max": 512, "states": 5 * (1 + 2 * 512)}
+    after = {(m, a): getattr(importlib.import_module(m), a) for m, a, _ in tracing.INTERNAL_BOUNDARIES}
+    assert after == before
+    assert sim.spla is scipy.sparse.linalg

@@ -1,13 +1,27 @@
 """Monte-Carlo simulator and the queue-capped stationary oracle."""
 
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from minwork.chain import threshold_policy
-from minwork.model import Availability, NumericalFailure, SystemState
+from minwork.model import (
+    Action,
+    Availability,
+    NumericalFailure,
+    PolicyX,
+    PolicyY,
+    ServerSpec,
+    SystemState,
+    x_transition,
+)
 from minwork.sim import (
     SimConfig,
     TabularPolicyX,
+    TruncatedPMF,
+    _capped_chain,
     hitting_time_stats,
     simulate,
     truncated_service_rate,
@@ -19,6 +33,7 @@ from minwork.sim import (
 from minwork.synthesis import lift_policy
 
 A = Availability.A
+B = Availability.B
 
 
 def _theta5():
@@ -123,11 +138,64 @@ def test_truncated_auto_doubles_until_tail_clears(spec5):
     pmf = truncated_stationary_auto(spec5, 0.15, _theta5(), q_max=64, tail_tol=1e-10)
     assert pmf.tail_mass < 1e-10
     assert pmf.q_max > 64  # 64 is far too small at this load
-    with pytest.raises(NumericalFailure):
+    cap_ran_out = r"truncation cap q_cap=256 ran out: tail mass .* above tail_tol=1e-10 at q_max=256"
+    with pytest.raises(NumericalFailure, match=cap_ran_out):
         # an unstable policy cannot clear the tail no matter the cap
         truncated_stationary_auto(
             spec5, 0.15, lift_policy(threshold_policy(5, 2)), q_max=64, q_cap=256
         )
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_capped_chain_matches_x_transition(data):
+    # the vectorized kernel against one built state by state from the
+    # full chain's one-step PMF; at q_max arrivals are blocked, so those
+    # outcomes drop out and the rest is renormalized by 1 / (1 - lam)
+    n = data.draw(st.integers(2, 6))
+    unit = st.floats(0.01, 0.99)
+    spec = ServerSpec(
+        n_s=n,
+        mu=np.array(data.draw(st.lists(unit, min_size=n, max_size=n))),
+        rho_up=np.array(data.draw(st.lists(unit, min_size=n - 1, max_size=n - 1))),
+        rho_down=np.array(data.draw(st.lists(unit, min_size=n - 1, max_size=n - 1))),
+    )
+    lam = data.draw(unit)
+    work = st.one_of(st.just(0.0), st.just(1.0), unit)
+    if data.draw(st.booleans()):
+        theta = PolicyX(PolicyY(np.array(data.draw(st.lists(work, min_size=n, max_size=n)))))
+    else:
+        levels = data.draw(st.integers(1, 3))
+        tbl = np.zeros((levels + 1, 2, n))
+        tbl[1:, 1] = 1.0
+        tbl[1:, 0] = np.reshape(data.draw(st.lists(work, min_size=levels * n, max_size=levels * n)), (levels, n))
+        theta = TabularPolicyX(tbl)
+    q_max = data.draw(st.sampled_from([2, 3, 7]))
+
+    size = n * (1 + 2 * q_max)
+    index = TruncatedPMF(n_s=n, q_max=q_max, probs=np.zeros(size), tail_mass=0.0, balance_residual=0.0).index
+    expect = {}
+    for q in range(q_max + 1):
+        for w in (A,) if q == 0 else (A, B):
+            for s in range(1, n + 1):
+                p = theta.work_prob(s, w, q)
+                for a, weight in ((Action.WORK, p), (Action.REST, 1.0 - p)):
+                    if weight == 0.0:
+                        continue
+                    for y, mass in x_transition(spec, lam, SystemState(s, w, q), a).items():
+                        if q == q_max:
+                            if y.q - q + (a == Action.WORK and y.w == A) == 1:
+                                continue  # an arrival
+                            mass /= 1.0 - lam
+                        key = (index(s, w, q), index(y.s, y.w, y.q))
+                        expect[key] = expect.get(key, 0.0) + weight * mass
+
+    rows, cols, vals = _capped_chain(spec, lam, theta, q_max)
+    got = dict(zip(zip(rows.tolist(), cols.tolist()), vals.tolist()))
+    assert len(got) == vals.size  # no duplicate entries
+    assert got.keys() == expect.keys()
+    keys = sorted(expect)
+    np.testing.assert_allclose([got[k] for k in keys], [expect[k] for k in keys], rtol=1e-13, atol=0.0)
 
 
 def test_truncated_rejects_tiny_qmax(spec5):
@@ -200,3 +268,42 @@ def test_trace_semantics(spec5):
 def test_trace_disabled_by_default(spec5):
     res = simulate(spec5, 0.15, _theta5(), SimConfig(horizon=1000))
     assert res.trace is None
+
+
+def test_simulate_pinned_outputs(spec5):
+    # figures recorded before the two simulators shared one step loop;
+    # the draw order fixes them exactly
+    cfg = SimConfig(horizon=3000, burn_in=300, replications=2, seed=7, trace=True)
+    res = simulate(spec5, 0.2, _theta5(), cfg)
+    assert res.rep_utilization.tolist() == [0.57, 0.6777777777777778]
+    assert res.rep_service_rate.tolist() == [0.18925925925925927, 0.20222222222222222]
+    assert res.y_marginal.tolist() == [
+        0.005740740740740741, 0.03574074074074074, 0.04462962962962963, 0.10925925925925926,
+        0.07185185185185185, 0.030740740740740742, 0.03611111111111111, 0.1025925925925926,
+        0.11351851851851852, 0.14555555555555555,
+    ]
+    trace = np.ascontiguousarray(res.trace, dtype="<i8")
+    assert trace.shape == (6000, 7)
+    assert trace[:3].tolist() == [[0, 1, 0, 0, 0, 1, 0], [1, 1, 0, 1, 1, 0, 0], [2, 1, 1, 1, 1, 0, 0]]
+    assert trace[-1].tolist() == [2999, 4, 0, 23, 1, 1, 1]
+    assert trace.sum(axis=0).tolist() == [8997000, 20269, 2514, 44731, 3671, 1180, 1157]
+    assert hashlib.sha256(trace.tobytes()).hexdigest() == (
+        "2c42701d8f69b4191cee80b5f3c87fc8444f91678243393cfe798c998041c5e9"
+    )
+
+
+def test_hitting_time_pinned_outputs(spec5):
+    tbl = np.zeros((4, 2, 5))
+    tbl[1:, 1] = 1.0
+    tbl[1:3, 0] = [0.5, 0.5, 0.5, 0.5, 0.0]
+    tbl[3, 0] = [1.0, 1.0, 1.0, 1.0, 0.0]
+    cfg = SimConfig(horizon=50000, replications=2, seed=5)
+    stats = hitting_time_stats(spec5, 0.15, TabularPolicyX(tbl), SystemState(3, A, 2), cfg)
+    assert (stats.mean, stats.count, stats.censored, stats.min_time, stats.max_time) == (
+        51.51006711409396, 1937, False, 1, 1461,
+    )
+    cfg = SimConfig(horizon=50000, replications=2, seed=3)
+    stats = hitting_time_stats(spec5, 0.15, _theta5(), SystemState(2, B, 1), cfg)
+    assert (stats.mean, stats.count, stats.censored, stats.min_time, stats.max_time) == (
+        29.34977973568282, 3405, False, 1, 555,
+    )

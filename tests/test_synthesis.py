@@ -11,7 +11,6 @@ from minwork.synthesis import (
     EPS_GRID,
     NOT_GUARANTEED,
     STABLE,
-    GapUnachievableError,
     ProjectionUndefinedError,
     classify_stability,
     lift_policy,
@@ -138,12 +137,3 @@ def test_synthesize_rejects_bad_arguments(spec5):
         synthesize(spec5, lam=0.3, delta=0.1)
     with pytest.raises(NotStabilizableError):
         synthesize(spec5, lam=0.0, delta=0.1)
-
-
-def test_synthesize_analytic_route_reports_gap(spec5):
-    # the closed-form constants underflow on this instance, so the
-    # analytic step must refuse and report the smallest certifiable gap
-    with pytest.raises(GapUnachievableError) as err:
-        synthesize(spec5, lam=0.15, delta=0.05, analytic_nu=True)
-    assert err.value.smallest_gap > 0.05
-    assert np.isfinite(err.value.smallest_gap)
