@@ -25,6 +25,7 @@ from .model import (
 )
 
 BALANCE_TOL = 1e-10
+NEGATIVE_TOL = 1e-12  # round-off below zero a solve may leave before clipping
 IDENTITY_TOL = 1e-9
 
 
@@ -127,8 +128,12 @@ def stationary_pmf(P: np.ndarray, tol: float = BALANCE_TOL) -> np.ndarray:
     pi = np.zeros(P.shape[0])
     pi[members] = pi_sub
     pi[np.abs(pi) < 1e-15] = 0.0
-    if np.any(pi < 0.0) or abs(pi.sum() - 1.0) > tol or np.max(np.abs(pi @ P - pi)) > tol:
-        raise NumericalFailure("stationary PMF fails balance or normalization checks")
+    if np.any(pi < -NEGATIVE_TOL) or abs(pi.sum() - 1.0) > tol:
+        raise NumericalFailure("stationary PMF fails sign or normalization checks")
+    np.maximum(pi, 0.0, out=pi)
+    pi /= pi.sum()
+    if np.max(np.abs(pi @ P - pi)) > tol:
+        raise NumericalFailure("stationary PMF fails balance checks")
     return pi
 
 

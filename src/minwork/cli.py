@@ -90,15 +90,16 @@ def cmd_frontier(spec, args) -> int:
 
 
 def cmd_policy(spec, args) -> int:
-    result = synthesize(spec, args.lam, args.delta, q_max=args.qmax or 512)
+    result = synthesize(spec, args.lam, args.delta)
     phi = result.policy.base
     print(f"eps: {result.eps_star:.4g}")
     print(f"nu_bar: {result.nu_star_rate:.6f}")
     print("work probabilities (available states):", " ".join(f"{p:.4f}" for p in phi.work_prob))
     print(f"predicted utilization: {result.predicted_utilization:.6f}")
+    print(f"verified utilization (exact QBD oracle): {result.verified_utilization:.6f}")
     print(
-        f"verified utilization (truncated oracle, q_max={result.q_max_used}): "
-        f"{result.verified_utilization:.6f}"
+        f"queue: mean {result.mean_queue:.4g}, tail decay sp(R) {result.tail_decay:.6f}, "
+        f"mass {result.tail_mass:.2e} above level K={result.q_max_used}"
     )
     print(f"delta: {result.bound_gap}")
     out = _outdir(args)
@@ -112,6 +113,8 @@ def cmd_policy(spec, args) -> int:
             "delta": result.bound_gap,
             "q_max": result.q_max_used,
             "tail_mass": result.tail_mass,
+            "mean_queue": result.mean_queue,
+            "tail_decay": result.tail_decay,
         }
         path = out / "policy.json"
         path.write_text(json.dumps(payload, indent=2, default=_jsonable) + "\n")
@@ -227,7 +230,6 @@ def _parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("policy", parents=[common], help="synthesize a near-optimal policy")
     sp.add_argument("--lambda", dest="lam", type=float, required=True, help="arrival rate")
     sp.add_argument("--delta", type=float, default=0.05, help="utilization gap target")
-    sp.add_argument("--qmax", type=int, default=None, help="initial oracle truncation level")
     sp.set_defaults(func=cmd_policy)
 
     sp = sub.add_parser("simulate", parents=[common], help="simulate a lifted policy")

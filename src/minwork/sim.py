@@ -1,9 +1,19 @@
-"""Monte-Carlo simulation of the full chain and an exact truncated
-stationary oracle.
+"""Monte-Carlo simulation of the full chain and two exact stationary
+oracles.
 
-The oracle caps the queue at q_max and blocks arrivals at the cap,
-which keeps the kernel row-stochastic and biases utilization downward
-predictably; tail mass at the cap is reported as the quality estimate.
+The truncated oracle caps the queue at q_max and blocks arrivals at
+the cap, which keeps the kernel row-stochastic and biases utilization
+downward predictably; tail mass at the cap is reported as the quality
+estimate. It takes any policy, including queue-dependent tables.
+
+The QBD oracle solves the uncapped chain of a lifted policy, whose
+work probabilities do not depend on q once q >= 1. Since q moves by at
+most one per step, that chain is a level-independent quasi-birth-death
+process and its stationary law is matrix-geometric, pi_(q+1) = pi_q R
+(Neuts 1981), with G from logarithmic reduction (Latouche & Ramaswami
+1993). Every answer is audited for flow conservation, balance, sign
+and normalization.
+
 The simulator draws four uniforms per step (action, completion,
 arrival, activity move) in a fixed order so that runs are bit-exact
 reproducible regardless of the path taken.
@@ -18,7 +28,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .chain import stationary_pmf_y
+from .chain import NEGATIVE_TOL, stationary_pmf_y
 from .model import (
     Availability,
     NumericalFailure,
@@ -29,6 +39,11 @@ from .model import (
 )
 
 TAIL_WARN = 1e-6
+QBD_MAX_STEPS = 64  # each reduction step or squaring doubles the levels covered
+QBD_T_TOL = 1e-15  # ||T||_inf bounds what further reduction steps add to G's rows
+FLOW_TOL = 1e-9  # |service rate - lam|
+QBD_BALANCE_TOL = 1e-12
+NORMALIZATION_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -130,24 +145,36 @@ def _policy_levels(theta, n_s: int, q_max: int | None = None) -> np.ndarray:
     return table[np.minimum(np.arange(q_max + 1), table.shape[0] - 1)]
 
 
+def _level_flows(spec: ServerSpec, work: np.ndarray):
+    """The kernel of the full chain without arrivals, as (done, busy,
+    idle, rest0).
+
+    At a queue level q >= 1 a reduced state works with the policy's
+    probability (surely when busy) and moves by the reduced kernels
+    P_W, P_R. That splits into three flows, each of shape
+    (levels, 2n_s, n_s) with rows indexed by the source state: done,
+    completion to (s', A) one level down; busy, work without completion
+    to (s', B); idle, rest to (s', A). work holds the policy's work
+    probabilities [level, w, s-1] at those levels. An empty queue rests,
+    so level 0 moves by rest0 = P_R restricted to available states.
+    """
+    n = spec.n_s
+    pw, pr = _kernel_matrices(spec)
+    p = np.array(work, dtype=float).reshape(-1, 2 * n, 1)
+    p[:, n:] = 1.0
+    return p * pw[:, :n], p * pw[:, n:], (1.0 - p) * pr[:, :n], pr[:n, :n]
+
+
 def _capped_chain(spec: ServerSpec, lam: float, theta, q_max: int):
     """Transition matrix of the queue-capped chain as COO triplets
     (rows, cols, vals), zeros dropped, in the TruncatedPMF state order.
 
-    At each level q >= 1 a reduced state works with the policy's
-    probability (surely when busy) and moves by the reduced kernels
-    P_W, P_R. That splits into three flows: completion to (s', A) one
-    level down, rest to (s', A) and work without completion to (s', B).
-    An arrival, w.p. lam and never at q_max, lifts each flow one level.
-    An empty queue rests, so level 0 has only its two rest blocks.
+    The flows of _level_flows move each state within a level or, by a
+    completion, one level down. An arrival, w.p. lam and never at
+    q_max, lifts each flow one level.
     """
     n = spec.n_s
-    pw, pr = _kernel_matrices(spec)
-    p = _policy_levels(theta, n, q_max)[1:].reshape(q_max, 2 * n, 1)
-    p[:, n:] = 1.0
-    done = p * pw[:, :n]
-    busy = p * pw[:, n:]
-    idle = (1.0 - p) * pr[:, :n]
+    done, busy, idle, rest0 = _level_flows(spec, _policy_levels(theta, n, q_max)[1:])
     arr = np.full((q_max, 1, 1), lam)
     arr[-1] = 0.0
     stay = 1.0 - arr
@@ -157,8 +184,8 @@ def _capped_chain(spec: ServerSpec, lam: float, theta, q_max: int):
     src = first + np.arange(2 * n)[:, None]
     col_a, col_y = np.arange(n), np.arange(2 * n)
     blocks = [  # (rows, cols, vals), broadcast against each other
-        (col_a[:, None], col_a, (1.0 - lam) * pr[:n, :n]),  # level 0, no arrival
-        (col_a[:, None], n + col_a, lam * pr[:n, :n]),  # level 0, arrival
+        (col_a[:, None], col_a, (1.0 - lam) * rest0),  # level 0, no arrival
+        (col_a[:, None], n + col_a, lam * rest0),  # level 0, arrival
         (src, np.maximum(first - 2 * n, 0) + col_a, done * stay),  # one level down
         (src, first + col_y, np.concatenate([done * arr + idle * stay, busy * stay], axis=2)),  # same level
         (src[:-1], first[:-1] + 2 * n + col_y, np.concatenate([idle * arr, busy * arr], axis=2)[:-1]),  # one up
@@ -224,12 +251,12 @@ def truncated_stationary(
         raise NumericalFailure("truncated stationary solve produced non-normalizable mass")
     pi = pi / total
     pi = np.where(np.abs(pi) < 1e-15, 0.0, pi)
-    if np.any(pi < -1e-12):
+    if np.any(pi < -NEGATIVE_TOL):
         raise NumericalFailure("truncated stationary solve produced negative mass")
     pi = np.clip(pi, 0.0, None)
     pi = pi / pi.sum()
     residual = float(np.max(np.abs(pi @ P - pi)))
-    if residual > 1e-9 or abs(pi.sum() - 1.0) > 1e-10:
+    if residual > 1e-9 or abs(pi.sum() - 1.0) > NORMALIZATION_TOL:
         raise NumericalFailure(f"truncated balance residual {residual:.3e} too large")
 
     tail = float(pi[n + (q_max - 1) * 2 * n :].sum())
@@ -274,6 +301,158 @@ def truncated_service_rate(spec: ServerSpec, pmf: TruncatedPMF, theta) -> float:
     """Stationary completions per step: sum of pi(x) theta(x) mu(s)."""
     work = _policy_levels(theta, pmf.n_s, pmf.q_max)[1:]
     return float(np.sum(pmf.probs[pmf.n_s :].reshape(work.shape) * work * spec.mu))
+
+
+@dataclass(frozen=True)
+class QBDPMF:
+    """Exact stationary law of the lifted chain.
+
+    pi0 is the mass at (s, A, 0) for s = 1..n_s; level q >= 1 carries
+    pi1 R^(q-1) over the reduced states in the fixed reduced order.
+    y_marginal sums the levels q >= 1; utilization and service_rate are
+    the stationary probabilities of working and of a completion;
+    mean_queue is E[q]; tail_decay is the spectral radius of R, the
+    geometric rate at which level masses fall.
+    """
+
+    n_s: int
+    pi0: np.ndarray
+    pi1: np.ndarray
+    R: np.ndarray
+    y_marginal: np.ndarray
+    utilization: float
+    service_rate: float
+    mean_queue: float
+    tail_decay: float
+    balance_residual: float
+
+    def empty_mass(self) -> float:
+        return float(self.pi0.sum())
+
+    def tail_level(self, tol: float) -> tuple[int, float]:
+        """Smallest level K >= 1 whose stationary mass above K,
+        pi1 R^K (I - R)^-1 1, is below tol, and that mass.
+
+        Squares R until the mass above 2^J is below tol, then descends
+        through the binary digits of K, so the cost grows with log K.
+        """
+        size = self.R.shape[0]
+        at_or_above = np.linalg.solve(np.eye(size) - self.R, np.ones(size))  # (I - R)^-1 1
+        powers = [self.R]  # R^(2^j)
+        while self.pi1 @ powers[-1] @ at_or_above >= tol:
+            if len(powers) == QBD_MAX_STEPS:
+                raise NumericalFailure(f"mass above level 2^{QBD_MAX_STEPS - 1} is still not below {tol:g}")
+            powers.append(powers[-1] @ powers[-1])
+        v, k = self.pi1, 0  # v = pi1 R^k; k is the largest level found whose mass above is >= tol
+        for j in range(len(powers) - 2, -1, -1):
+            step = v @ powers[j]
+            if step @ at_or_above >= tol:
+                v, k = step, k + (1 << j)
+        return k + 1, float(v @ self.R @ at_or_above)
+
+
+def _log_reduction(up: np.ndarray, local: np.ndarray, down: np.ndarray) -> np.ndarray:
+    """G, the minimal solution of G = down + local G + up G^2: the
+    phase in which the chain first enters the level below.
+
+    Logarithmic reduction (Latouche & Ramaswami 1993). After step k, G
+    holds the first passages that stay below 2^k levels up, and T is
+    the weight of those that do not; its row sums bound what is left.
+    """
+    eye = np.eye(up.shape[0])
+    b_up = np.linalg.solve(eye - local, up)
+    b_down = np.linalg.solve(eye - local, down)
+    G, T = b_down.copy(), b_up.copy()
+    for _ in range(QBD_MAX_STEPS):
+        mix = eye - b_up @ b_down - b_down @ b_up
+        b_up, b_down = np.linalg.solve(mix, b_up @ b_up), np.linalg.solve(mix, b_down @ b_down)
+        G += T @ b_down
+        T = T @ b_up
+        t_norm = float(np.abs(T).sum(axis=1).max())
+        if t_norm < QBD_T_TOL:
+            return G
+    raise NumericalFailure(
+        f"logarithmic reduction: ||T|| = {t_norm:.3e} still not below {QBD_T_TOL:g} "
+        f"after {QBD_MAX_STEPS} steps; the policy may not stabilize the arrival rate"
+    )
+
+
+def qbd_stationary(spec: ServerSpec, lam: float, theta) -> QBDPMF:
+    """Exact stationary law of the uncapped chain under a lifted policy.
+
+    Level 0 has the n_s phases (s, A); each level q >= 1 the 2n_s
+    reduced states. The blocks come from _level_flows: up = lam [idle |
+    busy], local = [(1-lam) idle + lam done | (1-lam) busy] and down =
+    (1-lam) [done | 0] between levels q >= 1, and the boundary blocks
+    B00 = (1-lam) rest0, B01 = lam [rest0 | 0], B10 = (1-lam) done.
+    With R = up (I - local - up G)^-1, (pi0, pi1) is the stationary law
+    of the chain censored to levels 0 and 1, scaled so that
+    pi0 1 + pi1 (I - R)^-1 1 = 1.
+
+    Raises ValueError for a policy whose work probabilities change with
+    q >= 1, and NumericalFailure naming the quantity, its value and its
+    bound when the service rate misses lam, the balance equations, the
+    sign or the normalization fail their audit.
+    """
+    if not 0.0 < lam < 1.0:
+        raise ValueError("lam must lie in (0, 1)")
+    n = spec.n_s
+    table = _policy_levels(theta, n)
+    if table.shape[0] != 2:
+        raise ValueError("the QBD oracle needs a lifted policy: work probabilities may not change with q >= 1")
+    (done,), (busy,), (idle,), rest0 = _level_flows(spec, table[1])
+    up = lam * np.hstack([idle, busy])
+    local = np.hstack([(1.0 - lam) * idle + lam * done, (1.0 - lam) * busy])
+    down = (1.0 - lam) * np.hstack([done, np.zeros_like(done)])
+    b00 = (1.0 - lam) * rest0
+    b01 = lam * np.hstack([rest0, np.zeros_like(rest0)])
+    b10 = (1.0 - lam) * done
+    eye = np.eye(2 * n)
+    try:
+        G = _log_reduction(up, local, down)
+        R = up @ np.linalg.inv(eye - local - up @ G)
+        at_or_above = np.linalg.solve(eye - R, np.ones(2 * n))  # pi_k @ at_or_above: mass at levels >= k
+        # censored to levels 0 and 1, excursions above return through G;
+        # one balance equation is redundant, normalization replaces it
+        M = np.block([[b00, b01], [b10, local + up @ G]]) - np.eye(3 * n)
+        M[:, -1] = np.concatenate([np.ones(n), at_or_above])
+        rhs = np.zeros(3 * n)
+        rhs[-1] = 1.0
+        x = np.linalg.solve(M.T, rhs)
+        y_marg = np.linalg.solve((eye - R).T, x[n:])  # pi1 (I - R)^-1
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure(f"QBD solve failed: {exc}") from exc
+    pi0, pi1 = x[:n], x[n:]
+    pi2 = pi1 @ R
+    work = np.concatenate([table[1, 0], np.ones(n)])
+    served = float(y_marg @ (work * np.concatenate([spec.mu, spec.mu])))
+    residual = max(  # balance at levels 0, 1 and 2; level q > 2 is level 2 times R^(q-2)
+        np.abs(pi0 @ b00 + pi1 @ b10 - pi0).max(),
+        np.abs(pi0 @ b01 + pi1 @ local + pi2 @ down - pi1).max(),
+        np.abs(pi1 @ up + pi2 @ local + pi2 @ R @ down - pi2).max(),
+    )
+    audits = (
+        ("served-rate residual |service rate - lam|", abs(served - lam), FLOW_TOL),
+        ("balance residual", residual, QBD_BALANCE_TOL),
+        ("negative mass", -min(x.min(), y_marg.min(), 0.0), NEGATIVE_TOL),
+        ("normalization residual", abs(pi0.sum() + y_marg.sum() - 1.0), NORMALIZATION_TOL),
+    )
+    for name, value, bound in audits:
+        if not value <= bound:  # a NaN fails too
+            raise NumericalFailure(f"QBD oracle audit: {name} {value:.3e} exceeds {bound:g}")
+    pi0, pi1, y_marg = (np.clip(v, 0.0, None) for v in (pi0, pi1, y_marg))
+    return QBDPMF(
+        n_s=n,
+        pi0=pi0,
+        pi1=pi1,
+        R=R,
+        y_marginal=y_marg,
+        utilization=float(y_marg @ work),
+        service_rate=served,
+        mean_queue=float(y_marg @ at_or_above),  # pi1 (I - R)^-2 1
+        tail_decay=float(np.abs(np.linalg.eigvals(R)).max()),
+        balance_residual=float(residual),
+    )
 
 
 def y_marginal_distance(

@@ -6,7 +6,7 @@ stabilizing policy: it walks the frontier to a service-rate target,
 tightens the LP floor parameter until the LP value is close enough to
 the frontier, then backs the service rate toward the arrival rate
 until the queue-aware utilization of the extracted policy is certified
-by the truncated oracle.
+by the exact QBD oracle on the uncapped queue.
 """
 
 from __future__ import annotations
@@ -23,18 +23,15 @@ from .frontier import (
     solve_lp,
 )
 from .model import NumericalFailure, PolicyX, PolicyY, ServerSpec, ServerState
-from .sim import (
-    TruncatedPMF,
-    _policy_levels,
-    truncated_stationary_auto,
-    truncated_utilization,
-)
+from .sim import TruncatedPMF, _policy_levels, qbd_stationary
+from .sim import truncated_stationary_auto  # noqa: F401 - bench/tracing.py wraps it under this module
 
 STABLE = "stable-irreducible-aperiodic"
 NOT_GUARANTEED = "not-guaranteed"
 
 EPS_GRID = tuple(10.0 ** (-k) for k in range(1, 9))
 MAX_HALVINGS = 60  # service-rate halvings toward lam
+TAIL_TOL = 1e-10  # stationary mass left above level q_max_used
 
 
 class ProjectionUndefinedError(ValueError):
@@ -57,6 +54,11 @@ class GapUnachievableError(ValueError):
 
 @dataclass(frozen=True)
 class SynthesisResult:
+    """A certified policy. verified_utilization, mean_queue and
+    tail_decay (the spectral radius of R) come from the exact QBD
+    oracle; q_max_used is the smallest queue level K whose stationary
+    mass above K is below TAIL_TOL, and tail_mass is that mass."""
+
     eps_star: float
     nu_star_rate: float
     policy: PolicyX
@@ -65,6 +67,8 @@ class SynthesisResult:
     verified_utilization: float
     q_max_used: int
     tail_mass: float
+    mean_queue: float
+    tail_decay: float
 
     def __post_init__(self):
         if not 0.0 < self.eps_star <= 1.0:
@@ -109,12 +113,7 @@ def classify_stability(spec: ServerSpec, lam: float, theta) -> str:
     return NOT_GUARANTEED
 
 
-def synthesize(
-    spec: ServerSpec,
-    lam: float,
-    delta: float,
-    q_max: int = 512,
-) -> SynthesisResult:
+def synthesize(spec: ServerSpec, lam: float, delta: float) -> SynthesisResult:
     """Produce a stabilizing queue-aware policy whose utilization is
     within delta of the infimum at arrival rate lam.
 
@@ -124,9 +123,9 @@ def synthesize(
     the frontier there; (3) confirm the LP value is monotone in the
     service rate at that eps on the working grid, shrinking eps
     otherwise; (4) halve the service rate toward lam until the
-    truncated-oracle utilization of the extracted lifted policy clears
-    frontier(lam) + delta. The oracle starts at q_max and doubles it
-    until its tail mass is below 1e-10.
+    utilization of the extracted lifted policy, computed exactly by
+    qbd_stationary, clears frontier(lam) + delta. A policy whose oracle
+    audits fail raises NumericalFailure.
     """
     if delta <= 0.0:
         raise ValueError("delta must be positive")
@@ -197,8 +196,7 @@ def synthesize(
             raise NumericalFailure(f"LP infeasible at nu={nu}, eps={eps_star}")
         phi = policy_from_occupation(res.measure)
         theta = lift_policy(phi)
-        pmf = truncated_stationary_auto(spec, lam, theta, q_max=q_max)
-        return res, theta, pmf, truncated_utilization(pmf, theta)
+        return res, theta, qbd_stationary(spec, lam, theta)
 
     accepted = None
     best_util_gap = np.inf
@@ -206,10 +204,10 @@ def synthesize(
         nu_m = lam + (nu_dag - lam) * 2.0**-m
         if nu_m <= lam:
             break
-        res, theta, pmf, util = evaluate(nu_m)
-        best_util_gap = min(best_util_gap, max(util - u_target, 0.0))
-        if util <= u_target + delta:
-            accepted = (nu_m, res, theta, pmf, util)
+        res, theta, pmf = evaluate(nu_m)
+        best_util_gap = min(best_util_gap, max(pmf.utilization - u_target, 0.0))
+        if pmf.utilization <= u_target + delta:
+            accepted = (nu_m, res, theta, pmf)
             break
     if accepted is None:
         raise GapUnachievableError(
@@ -217,18 +215,21 @@ def synthesize(
             smallest_gap=best_util_gap,
         )
 
-    nu_sel, res, theta, pmf, util = accepted
+    nu_sel, res, theta, pmf = accepted
     if res.value > u_target + delta + 1e-8:
         raise NumericalFailure("accepted LP value exceeds the certified gap")
-    if util > u_target + delta + 1e-8:
+    if pmf.utilization > u_target + delta + 1e-8:
         raise NumericalFailure("oracle utilization exceeds the certified gap")
+    q_max_used, tail_mass = pmf.tail_level(TAIL_TOL)
     return SynthesisResult(
         eps_star=eps_star,
         nu_star_rate=nu_sel,
         policy=theta,
         predicted_utilization=res.value,
         bound_gap=delta,
-        verified_utilization=util,
-        q_max_used=pmf.q_max,
-        tail_mass=pmf.tail_mass,
+        verified_utilization=pmf.utilization,
+        q_max_used=q_max_used,
+        tail_mass=tail_mass,
+        mean_queue=pmf.mean_queue,
+        tail_decay=pmf.tail_decay,
     )

@@ -281,7 +281,7 @@ def check_synthesis(spec: ServerSpec, lam: float = 0.15, delta: float = 0.05) ->
     return _result(
         "C9", name, ok,
         f"classified {label}, oracle utilization {result.verified_utilization:.6f} "
-        f"<= {target:.6f}, tail mass {result.tail_mass:.2e} at q_max={result.q_max_used}",
+        f"<= {target:.6f}, stationary mass {result.tail_mass:.2e} above queue level {result.q_max_used}",
         {
             "eps": result.eps_star,
             "nu_bar": result.nu_star_rate,

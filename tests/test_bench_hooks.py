@@ -12,7 +12,7 @@ import types
 import scipy.sparse.linalg
 
 from minwork.chain import threshold_policy
-from minwork.synthesis import lift_policy
+from minwork.synthesis import lift_policy, synthesize
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -50,3 +50,13 @@ def test_tracer_installs_records_and_restores(spec5):
     after = {(m, a): getattr(importlib.import_module(m), a) for m, a, _ in tracing.INTERNAL_BOUNDARIES}
     assert after == before
     assert sim.spla is scipy.sparse.linalg
+
+
+def test_policy_tight_reads_certified_tail(spec5):
+    # the policy-tight workload reads these two fields of the result and
+    # requires an oracle tail mass below 1e-10
+    workloads = (ROOT / "bench" / "workloads.py").read_text()
+    assert '"tail_mass": res.tail_mass' in workloads and '"q_max": res.q_max_used' in workloads
+    res = synthesize(spec5, 0.15, 0.04)
+    assert res.tail_mass < 1e-10
+    assert isinstance(res.q_max_used, int) and res.q_max_used >= 1

@@ -55,8 +55,11 @@ def test_policy_json(config_path, tmp_path, capsys):
     f = frontier(load_spec(config_path))
     assert blob["verified_utilization"] <= f(0.15) + 0.1 + 1e-8
     assert blob["tail_mass"] < 1e-6
+    assert blob["mean_queue"] == pytest.approx(43.3, abs=0.1)
+    assert 0.0 < blob["tail_decay"] < 1.0
     out = capsys.readouterr().out
     assert "work probabilities" in out
+    assert f"above level K={blob['q_max']}" in out
 
 
 def test_simulate_default_policy_deterministic(config_path, tmp_path, capsys):
@@ -104,6 +107,14 @@ def test_exit_codes(config_path, tmp_path, capsys):
     assert run("simulate", "--config", config_path, "--lambda", 0.15,
                "--horizon", 3) == 2
     capsys.readouterr()
+
+
+def test_policy_tight_delta_exit_codes(config_path, capsys):
+    assert run("policy", "--config", config_path, "--lambda", 0.15, "--delta", 0.005) == 0
+    assert "exact QBD oracle" in capsys.readouterr().out
+    # the oracle's flow audit fails: a numerical failure, named
+    assert run("policy", "--config", config_path, "--lambda", 0.15, "--delta", 1e-6) == 1
+    assert "served-rate residual" in capsys.readouterr().err
 
 
 def test_verify_subset(config_path, tmp_path, capsys):

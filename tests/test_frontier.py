@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from minwork.chain import service_rate, stationary_pmf_y, utilization_rate_y
+from minwork.chain import max_service_rate, service_rate, stationary_pmf_y, utilization_rate_y
 from minwork.frontier import (
     Frontier,
     NotStabilizableError,
@@ -190,3 +190,20 @@ def test_lp_hull_agreement_random_specs(data):
         res = solve_lp(spec, float(nu), 0.0)
         assert res.feasible
         assert res.value == pytest.approx(f(float(nu)), abs=1e-8)
+
+
+def test_frontier_on_large_random_models():
+    # 40-state models whose stationary solves leave round-off entries of
+    # a few 1e-15 below zero; they are clipped, not rejected
+    n = 40
+    for seed in (0, 1, 2):
+        rng = np.random.default_rng(seed)
+        spec = ServerSpec(
+            n_s=n,
+            mu=rng.uniform(0.02, 0.95, n),
+            rho_up=rng.uniform(0.02, 0.5, n - 1),
+            rho_down=rng.uniform(0.02, 0.5, n - 1),
+        )
+        f = frontier(spec)
+        assert f.nu_star == pytest.approx(max_service_rate(spec)[0], abs=1e-12)
+        assert f.breakpoints[0] == (0.0, 0.0)

@@ -1,12 +1,13 @@
-"""Monte-Carlo simulator and the queue-capped stationary oracle."""
+"""Monte-Carlo simulator and the two stationary oracles: queue-capped and QBD."""
 
 import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from minwork.chain import threshold_policy
+from minwork.chain import service_rate, threshold_policy
+from minwork.frontier import policy_from_occupation, solve_lp
 from minwork.model import (
     Action,
     Availability,
@@ -23,6 +24,7 @@ from minwork.sim import (
     TruncatedPMF,
     _capped_chain,
     hitting_time_stats,
+    qbd_stationary,
     simulate,
     truncated_service_rate,
     truncated_stationary,
@@ -196,6 +198,85 @@ def test_capped_chain_matches_x_transition(data):
     assert got.keys() == expect.keys()
     keys = sorted(expect)
     np.testing.assert_allclose([got[k] for k in keys], [expect[k] for k in keys], rtol=1e-13, atol=0.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_qbd_matches_truncated(data):
+    # at light load a fixed cap leaves a negligible tail, so the capped
+    # chain and the matrix-geometric solution of the uncapped one agree
+    n = data.draw(st.integers(2, 5))
+    unit = st.floats(0.05, 0.95)
+    spec = ServerSpec(
+        n_s=n,
+        mu=np.array(data.draw(st.lists(unit, min_size=n, max_size=n))),
+        rho_up=np.array(data.draw(st.lists(unit, min_size=n - 1, max_size=n - 1))),
+        rho_down=np.array(data.draw(st.lists(unit, min_size=n - 1, max_size=n - 1))),
+    )
+    work = [data.draw(st.floats(0.05, 1.0))] + data.draw(
+        st.lists(st.one_of(st.just(0.0), st.just(1.0), unit), min_size=n - 1, max_size=n - 1)
+    )
+    phi = PolicyY(np.array(work))
+    lam = data.draw(st.floats(0.1, 0.5)) * service_rate(spec, phi)
+    assume(lam > 1e-3)
+    theta = lift_policy(phi)
+    capped = truncated_stationary(spec, lam, theta, 300, warn=False)
+    assume(capped.tail_mass < 1e-13)
+
+    exact = qbd_stationary(spec, lam, theta)
+    assert exact.utilization == pytest.approx(truncated_utilization(capped, theta), abs=1e-10)
+    assert exact.service_rate == pytest.approx(truncated_service_rate(spec, capped, theta), abs=1e-10)
+    np.testing.assert_allclose(exact.y_marginal, capped.y_marginal(), rtol=0.0, atol=1e-10)
+    np.testing.assert_allclose(exact.pi0, capped.probs[:n], rtol=0.0, atol=1e-10)
+    queue = capped.queue_marginal()
+    assert exact.mean_queue == pytest.approx(queue @ np.arange(queue.size), abs=1e-10)
+    assert 0.0 < exact.tail_decay < 1.0
+
+
+def test_qbd_matches_truncated_at_c10_rates(spec5):
+    # the five LP targets of check C10, where the truncated oracle needs
+    # q_max up to 8192 and the tail falls by sp(R) ~ 0.999 per level
+    lam = 0.15
+    for nu in (0.25, 0.20, 0.17, 0.16, 0.155):
+        phi = policy_from_occupation(solve_lp(spec5, nu, 1e-3).measure)
+        theta = lift_policy(phi)
+        capped = truncated_stationary_auto(spec5, lam, theta)
+        exact = qbd_stationary(spec5, lam, theta)
+        assert abs(exact.utilization - truncated_utilization(capped, theta)) <= 1e-10
+        assert np.abs(exact.y_marginal - capped.y_marginal()).sum() <= 1e-10
+        assert exact.service_rate == pytest.approx(lam, abs=1e-9)
+        assert exact.empty_mass() == pytest.approx(capped.empty_mass(), abs=1e-12)
+
+
+def test_qbd_rejects_queue_dependent_policy(spec5):
+    tbl = np.zeros((3, 2, 5))
+    tbl[1:, 1] = 1.0
+    tbl[2, 0] = 1.0
+    with pytest.raises(ValueError, match="lifted policy"):
+        qbd_stationary(spec5, 0.15, TabularPolicyX(tbl))
+    with pytest.raises(ValueError):
+        qbd_stationary(spec5, 1.0, _theta5())
+
+
+def test_qbd_tail_level_is_smallest_clearing_level(spec5):
+    # the level search against a walk over levels
+    pmf = qbd_stationary(spec5, 0.15, lift_policy(threshold_policy(5, 3)))
+    at_or_above = np.linalg.solve(np.eye(10) - pmf.R, np.ones(10))
+    above, v = [], pmf.pi1
+    for _ in range(400):
+        above.append(v @ at_or_above)  # mass above level len(above)
+        v = v @ pmf.R
+    for tol in (1e-3, 1e-6, 1e-10):
+        k, mass = pmf.tail_level(tol)
+        assert above[k] < tol <= above[k - 1]
+        assert mass == pytest.approx(above[k], rel=1e-12)
+    assert pmf.tail_level(1.0) == (1, pytest.approx(above[1], rel=1e-12))
+
+
+def test_qbd_raises_on_unstable_policy(spec5):
+    # tau = 2 serves below lam = 0.15: there is no stationary law
+    with pytest.raises(NumericalFailure):
+        qbd_stationary(spec5, 0.15, lift_policy(threshold_policy(5, 2)))
 
 
 def test_truncated_rejects_tiny_qmax(spec5):

@@ -5,7 +5,7 @@ import pytest
 
 from minwork.chain import service_rate, threshold_policy
 from minwork.frontier import NotStabilizableError, frontier
-from minwork.model import PolicyX, PolicyY
+from minwork.model import NumericalFailure, PolicyX, PolicyY
 from minwork.sim import TruncatedPMF, truncated_stationary_auto
 from minwork.synthesis import (
     EPS_GRID,
@@ -122,6 +122,25 @@ def test_synthesize_tighter_delta(spec5):
     assert res.nu_star_rate == pytest.approx(0.15234375, abs=1e-12)
     assert res.eps_star == pytest.approx(0.01, abs=0.0)
     assert res.verified_utilization <= frontier(spec5)(0.15) + 0.05 + 1e-12
+
+
+def test_synthesize_tight_delta_certifies(spec5):
+    # the certified policy's queue mean is about 2e4 and its level masses
+    # fall by sp(R) ~ 1 - 5e-5 per level, so the exact tail level is large
+    res = synthesize(spec5, lam=0.15, delta=0.005)
+    front = frontier(spec5)
+    assert front(0.15) - 1e-9 <= res.verified_utilization <= front(0.15) + 0.005
+    assert res.tail_mass < 1e-10
+    assert res.q_max_used > 1e5
+    assert res.mean_queue == pytest.approx(2.0e4, rel=0.01)
+    assert 0.9999 < res.tail_decay < 1.0
+
+
+def test_synthesize_reports_failed_flow_audit(spec5):
+    # at delta = 1e-6 the accepted service rate sits so close to lam that
+    # the exact solve loses the flow identity; it must not be returned
+    with pytest.raises(NumericalFailure, match=r"served-rate residual .* exceeds 1e-09"):
+        synthesize(spec5, lam=0.15, delta=1e-6)
 
 
 def test_synthesize_loose_delta_accepts_fast(spec5):
