@@ -16,10 +16,9 @@ from minwork import (
     lift_policy,
     load_spec,
     policy_from_occupation,
+    qbd_stationary,
     solve_lp,
     stationary_pmf_y,
-    truncated_stationary_auto,
-    truncated_utilization,
 )
 
 
@@ -40,7 +39,7 @@ def main():
         raise SystemExit(f"lambda must lie in (0, {front.nu_star:.4f})")
     floor = front(args.lam)
     print(f"frontier({args.lam}) = {floor:.6f}, nu_star = {front.nu_star:.6f}")
-    print("nu_bar     lp_value   oracle_util  l1_distance  empty_mass  q_max")
+    print("nu_bar     lp_value   oracle_util  l1_distance  empty_mass  mean_queue")
 
     # geometric approach nu_bar -> lambda
     for m in range(1, args.points + 1):
@@ -51,11 +50,11 @@ def main():
             continue
         phi = policy_from_occupation(res.measure)
         theta = lift_policy(phi)
-        pmf = truncated_stationary_auto(spec, args.lam, theta)
-        dist = float(np.sum(np.abs(stationary_pmf_y(spec, phi) - pmf.y_marginal())))
+        pmf = qbd_stationary(spec, args.lam, theta)
+        dist = float(np.sum(np.abs(stationary_pmf_y(spec, phi) - pmf.y_marginal)))
         print(
-            f"{nu:.6f}  {res.value:9.6f}  {truncated_utilization(pmf, theta):11.6f}"
-            f"  {dist:11.6f}  {pmf.empty_mass():10.6f}  {pmf.q_max:5d}"
+            f"{nu:.6f}  {res.value:9.6f}  {pmf.utilization:11.6f}"
+            f"  {dist:11.6f}  {pmf.empty_mass():10.6f}  {pmf.mean_queue:10.4g}"
         )
 
 

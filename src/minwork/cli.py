@@ -18,14 +18,7 @@ import numpy as np
 from .chain import max_service_rate, threshold_policy, threshold_rates
 from .frontier import NotStabilizableError, frontier, policy_from_occupation, solve_lp
 from .model import NumericalFailure, load_spec
-from .sim import (
-    SimConfig,
-    simulate,
-    truncated_service_rate,
-    truncated_stationary,
-    truncated_stationary_auto,
-    truncated_utilization,
-)
+from .sim import SimConfig, qbd_stationary, simulate
 from .synthesis import GapUnachievableError, lift_policy, synthesize
 from .verify import run_all
 
@@ -137,17 +130,16 @@ def cmd_simulate(spec, args) -> int:
         phi = threshold_policy(spec.n_s, tau_star)
     theta = lift_policy(phi)
 
-    if args.qmax is not None:
-        pmf = truncated_stationary(spec, args.lam, theta, args.qmax)
-    else:
-        pmf = truncated_stationary_auto(spec, args.lam, theta)
-    u_oracle = truncated_utilization(pmf, theta)
-    s_oracle = truncated_service_rate(spec, pmf, theta)
+    pmf = qbd_stationary(spec, args.lam, theta)
+    u_oracle, s_oracle = pmf.utilization, pmf.service_rate
 
     cfg = SimConfig(horizon=args.horizon, replications=args.reps, seed=args.seed, trace=args.trace)
     sim = simulate(spec, args.lam, theta, cfg)
     print(f"policy work probabilities: {' '.join(f'{p:.4f}' for p in phi.work_prob)}")
-    print(f"oracle: utilization {u_oracle:.6f}, service rate {s_oracle:.6f} (q_max={pmf.q_max})")
+    print(
+        f"oracle (exact QBD): utilization {u_oracle:.6f}, service rate {s_oracle:.6f}, "
+        f"mean queue {pmf.mean_queue:.4g}"
+    )
     print(
         f"pooled: utilization {sim.empirical_utilization:.6f} (se {sim.utilization_se:.2e}), "
         f"service rate {sim.empirical_service_rate:.6f} (se {sim.service_rate_se:.2e})"
@@ -236,7 +228,6 @@ def _parser() -> argparse.ArgumentParser:
     sp.add_argument("--lambda", dest="lam", type=float, required=True, help="arrival rate")
     sp.add_argument("--eps", type=float, default=None, help="LP floor for policy extraction")
     sp.add_argument("--nu-bar", dest="nu_bar", type=float, default=None, help="LP service-rate target")
-    sp.add_argument("--qmax", type=int, default=None, help="oracle truncation level (default: auto)")
     sp.add_argument("--horizon", type=int, default=10**6, help="steps per replication")
     sp.add_argument("--reps", type=int, default=5, help="replications")
     sp.add_argument("--seed", type=int, default=0, help="RNG seed")
@@ -265,9 +256,6 @@ def _check_ranges(args) -> str | None:
     nu_bar = getattr(args, "nu_bar", None)
     if nu_bar is not None and nu_bar <= 0.0:
         return f"--nu-bar must be positive, got {nu_bar}"
-    qmax = getattr(args, "qmax", None)
-    if qmax is not None and qmax < 2:
-        return f"--qmax must be at least 2, got {qmax}"
     horizon = getattr(args, "horizon", None)
     if horizon is not None and horizon < 10:
         return f"--horizon must be at least 10, got {horizon}"

@@ -1,18 +1,19 @@
 """Monte-Carlo simulation of the full chain and two exact stationary
 oracles.
 
+The QBD oracle is the answer for lifted policies, whose work
+probabilities do not depend on q once q >= 1. Since q moves by at most
+one per step, their uncapped chain is a level-independent
+quasi-birth-death process and its stationary law is matrix-geometric,
+pi_(q+1) = pi_q R (Neuts 1981), with G from logarithmic reduction
+(Latouche & Ramaswami 1993). Every answer is audited for flow
+conservation, balance, sign and normalization.
+
 The truncated oracle caps the queue at q_max and blocks arrivals at
 the cap, which keeps the kernel row-stochastic and biases utilization
-downward predictably; tail mass at the cap is reported as the quality
-estimate. It takes any policy, including queue-dependent tables.
-
-The QBD oracle solves the uncapped chain of a lifted policy, whose
-work probabilities do not depend on q once q >= 1. Since q moves by at
-most one per step, that chain is a level-independent quasi-birth-death
-process and its stationary law is matrix-geometric, pi_(q+1) = pi_q R
-(Neuts 1981), with G from logarithmic reduction (Latouche & Ramaswami
-1993). Every answer is audited for flow conservation, balance, sign
-and normalization.
+downward predictably; callers read the mass at the cap, tail_mass, to
+judge the cut. It takes any policy, so it solves queue-dependent
+tables and cross-checks the QBD oracle in the tests.
 
 The simulator draws four uniforms per step (action, completion,
 arrival, activity move) in a fixed order so that runs are bit-exact
@@ -28,17 +29,16 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .chain import NEGATIVE_TOL, stationary_pmf_y
+from .chain import NEGATIVE_TOL
+from .chain import stationary_pmf_y  # noqa: F401 - bench/tracing.py wraps it under this module
 from .model import (
     Availability,
     NumericalFailure,
-    PolicyX,
     ServerSpec,
     SystemState,
     _kernel_matrices,
 )
 
-TAIL_WARN = 1e-6
 QBD_MAX_STEPS = 64  # each reduction step or squaring doubles the levels covered
 QBD_T_TOL = 1e-15  # ||T||_inf bounds what further reduction steps add to G's rows
 FLOW_TOL = 1e-9  # |service rate - lam|
@@ -90,10 +90,6 @@ class TruncatedPMF:
     probs: np.ndarray
     tail_mass: float
     balance_residual: float
-
-    @property
-    def tail_warning(self) -> bool:
-        return self.tail_mass > TAIL_WARN
 
     def index(self, s: int, w: Availability, q: int) -> int:
         n = self.n_s
@@ -196,18 +192,13 @@ def _capped_chain(spec: ServerSpec, lam: float, theta, q_max: int):
     return rows[keep], cols[keep], vals[keep]
 
 
-def truncated_stationary(
-    spec: ServerSpec,
-    lam: float,
-    theta,
-    q_max: int,
-    warn: bool = True,
-) -> TruncatedPMF:
+def truncated_stationary(spec: ServerSpec, lam: float, theta, q_max: int) -> TruncatedPMF:
     """Exact stationary PMF of the queue-capped chain under theta.
 
-    Arrivals are suppressed at q = q_max. The policy is consulted
-    through theta.policy_table(); admissibility at q = 0 and at busy
-    states is enforced structurally.
+    Arrivals are suppressed at q = q_max; tail_mass, the mass at
+    q_max, tells the caller how much the cap cut. The policy is
+    consulted through theta.policy_table(); admissibility at q = 0 and
+    at busy states is enforced structurally.
     """
     if q_max < 2:
         raise ValueError("q_max must be at least 2")
@@ -260,11 +251,6 @@ def truncated_stationary(
         raise NumericalFailure(f"truncated balance residual {residual:.3e} too large")
 
     tail = float(pi[n + (q_max - 1) * 2 * n :].sum())
-    if warn and tail > TAIL_WARN:
-        warnings.warn(
-            f"tail mass {tail:.3e} at q_max={q_max} exceeds {TAIL_WARN}; increase q_max",
-            stacklevel=2,
-        )
     return TruncatedPMF(n_s=n, q_max=q_max, probs=pi, tail_mass=tail, balance_residual=residual)
 
 
@@ -279,7 +265,7 @@ def truncated_stationary_auto(
     """Double q_max until the tail mass drops below tail_tol."""
     q = q_max
     while True:
-        pmf = truncated_stationary(spec, lam, theta, q, warn=False)
+        pmf = truncated_stationary(spec, lam, theta, q)
         if pmf.tail_mass < tail_tol:
             return pmf
         if q >= q_cap:
@@ -453,23 +439,6 @@ def qbd_stationary(spec: ServerSpec, lam: float, theta) -> QBDPMF:
         tail_decay=float(np.abs(np.linalg.eigvals(R)).max()),
         balance_residual=float(residual),
     )
-
-
-def y_marginal_distance(
-    spec: ServerSpec,
-    lam: float,
-    phi,
-    q_max: int | None = None,
-) -> float:
-    """L1 distance between the reduced stationary PMF and the busy-queue
-    marginal of the lifted chain's stationary PMF."""
-    pi_y = stationary_pmf_y(spec, phi)
-    theta = PolicyX(base=phi)
-    if q_max is None:
-        pmf = truncated_stationary_auto(spec, lam, theta)
-    else:
-        pmf = truncated_stationary(spec, lam, theta, q_max)
-    return float(np.sum(np.abs(pi_y - pmf.y_marginal())))
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,8 @@ valid model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import time
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -29,12 +30,7 @@ from .chain import (
 )
 from .frontier import frontier, policy_from_occupation, solve_lp
 from .model import PolicyY, ServerSpec, ybar_matrix
-from .sim import (
-    SimConfig,
-    simulate,
-    truncated_stationary_auto,
-    truncated_utilization,
-)
+from .sim import SimConfig, qbd_stationary, simulate
 from .synthesis import STABLE, classify_stability, lift_policy, synthesize
 
 REFERENCE_NU = (0.0, 0.0347, 0.1993, 0.1947, 0.3000, 0.0500)
@@ -308,8 +304,8 @@ def check_convergence(spec: ServerSpec, lam: float = 0.15) -> CheckResult:
             return _result("C10", name, False, f"LP infeasible at nu_bar={nu}", {})
         phi = policy_from_occupation(res.measure)
         theta = lift_policy(phi)
-        pmf = truncated_stationary_auto(spec, lam, theta)
-        dist = float(np.sum(np.abs(stationary_pmf_y(spec, phi) - pmf.y_marginal())))
+        pmf = qbd_stationary(spec, lam, theta)
+        dist = float(np.sum(np.abs(stationary_pmf_y(spec, phi) - pmf.y_marginal)))
         dists.append(dist)
         mc = mixing_constants(spec, lam, eps, phi=phi)
         gap = nu - lam
@@ -328,13 +324,12 @@ def check_convergence(spec: ServerSpec, lam: float = 0.15) -> CheckResult:
 
 
 def check_simulation(spec: ServerSpec, lam: float = 0.15, seed: int = 0) -> CheckResult:
-    """Pooled simulation estimates agree with the truncated oracle and
+    """Pooled simulation estimates agree with the exact QBD oracle and
     the arrival rate within four standard errors."""
     name = "simulation vs oracle"
     _, tau_star = max_service_rate(spec)
     theta = lift_policy(threshold_policy(spec.n_s, tau_star))
-    pmf = truncated_stationary_auto(spec, lam, theta)
-    u_oracle = truncated_utilization(pmf, theta)
+    u_oracle = qbd_stationary(spec, lam, theta).utilization
     cfg = SimConfig(horizon=10**6, replications=10, seed=seed)
     sim = simulate(spec, lam, theta, cfg)
     u_dev = abs(sim.empirical_utilization - u_oracle)
@@ -372,8 +367,9 @@ CHECKS = (
 
 def run_all(spec: ServerSpec, seed: int = 0, lam: float = 0.15, only=None):
     """Run the verification checks, returning a CheckResult per
-    criterion. A check that raises is reported as failed, not
-    propagated. only restricts to a set of criterion ids."""
+    criterion with its wall time in values["seconds"]. A check that
+    raises is reported as failed, not propagated. only restricts to a
+    set of criterion ids."""
     wanted = None if only is None else {c.upper() for c in only}
     if wanted is not None:
         known = {cid for cid, _, _ in CHECKS}
@@ -389,8 +385,10 @@ def run_all(spec: ServerSpec, seed: int = 0, lam: float = 0.15, only=None):
             kwargs["seed"] = seed
         if "lam" in extra:
             kwargs["lam"] = lam
+        start = time.perf_counter()
         try:
-            out.append(fn(spec, **kwargs))
+            res = fn(spec, **kwargs)
         except Exception as exc:  # noqa: BLE001 - report, do not crash the suite
-            out.append(_result(cid, fn.__name__.removeprefix("check_"), False, f"error: {exc}"))
+            res = _result(cid, fn.__name__.removeprefix("check_"), False, f"error: {exc}")
+        out.append(replace(res, values={**res.values, "seconds": time.perf_counter() - start}))
     return out

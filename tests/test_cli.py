@@ -66,6 +66,7 @@ def test_simulate_default_policy_deterministic(config_path, tmp_path, capsys):
     args = ("simulate", "--config", config_path, "--lambda", 0.15,
             "--horizon", 50000, "--reps", 2, "--seed", 7, "--out", tmp_path)
     assert run(*args) == 0
+    assert "oracle (exact QBD)" in capsys.readouterr().out
     first = (tmp_path / "simulation.csv").read_text()
     assert run(*args) == 0
     assert (tmp_path / "simulation.csv").read_text() == first
@@ -95,6 +96,11 @@ def test_exit_codes(config_path, tmp_path, capsys):
     # service rate beyond the achievable maximum
     assert run("simulate", "--config", config_path, "--lambda", 0.15,
                "--eps", 1e-3, "--nu-bar", 0.35) == 3
+    # a policy serving below the arrival rate fails the oracle's flow audit
+    capsys.readouterr()
+    assert run("simulate", "--config", config_path, "--lambda", 0.15,
+               "--eps", 1e-3, "--nu-bar", 0.14) == 1
+    assert "served-rate residual" in capsys.readouterr().err
     # arrival rate not stabilizable
     assert run("policy", "--config", config_path, "--lambda", 0.4) == 3
     # missing and malformed configs
@@ -126,6 +132,7 @@ def test_verify_subset(config_path, tmp_path, capsys):
     blob = json.loads((tmp_path / "verify.json").read_text())
     assert [c["id"] for c in blob] == ["C4", "C6"]
     assert all(c["passed"] for c in blob)
+    assert all(c["values"]["seconds"] >= 0.0 for c in blob)
 
 
 def test_verify_unknown_check(config_path, capsys):

@@ -30,7 +30,6 @@ from minwork.sim import (
     truncated_stationary,
     truncated_stationary_auto,
     truncated_utilization,
-    y_marginal_distance,
 )
 from minwork.synthesis import lift_policy
 
@@ -106,22 +105,21 @@ def test_simulation_matches_oracle(spec5):
     lam = 0.15
     theta = _theta5()
     res = simulate(spec5, lam, theta, SimConfig(horizon=300000, replications=4, seed=11))
-    pmf = truncated_stationary_auto(spec5, lam, theta)
-    u = truncated_utilization(pmf, theta)
-    assert abs(res.empirical_utilization - u) < 5 * res.utilization_se
+    pmf = qbd_stationary(spec5, lam, theta)
+    assert abs(res.empirical_utilization - pmf.utilization) < 5 * res.utilization_se
     assert abs(res.empirical_service_rate - lam) < 5 * res.service_rate_se
     # empirical y-marginal restricted to busy steps tracks the oracle
-    np.testing.assert_allclose(res.y_marginal, pmf.y_marginal(), atol=0.01)
+    np.testing.assert_allclose(res.y_marginal, pmf.y_marginal, atol=0.01)
     assert res.y_marginal.sum() == pytest.approx(1 - res.empty_queue_fraction, abs=1e-12)
 
 
 def test_truncated_stationary_invariants(spec5):
     lam = 0.15
     theta = _theta5()
-    pmf = truncated_stationary(spec5, lam, theta, 1024, warn=False)
+    pmf = truncated_stationary(spec5, lam, theta, 1024)
     assert pmf.probs.sum() == pytest.approx(1.0, abs=1e-10)
     assert pmf.balance_residual < 1e-9
-    assert not pmf.tail_warning
+    assert pmf.tail_mass < 1e-10
     # completions balance arrivals when the tail is negligible
     assert truncated_service_rate(spec5, pmf, theta) == pytest.approx(lam, abs=1e-9)
     assert pmf.empty_mass() > 0.0
@@ -129,11 +127,6 @@ def test_truncated_stationary_invariants(spec5):
     assert pmf.y_totals().sum() == pytest.approx(1.0, abs=1e-10)
     assert pmf.y_marginal().sum() == pytest.approx(1.0 - pmf.empty_mass(), abs=1e-10)
     assert pmf.mass(1, A, 0) > 0.0
-
-
-def test_truncated_stationary_warns_on_fat_tail(spec5):
-    with pytest.warns(UserWarning, match="tail mass"):
-        truncated_stationary(spec5, 0.29, _theta5(), 64)
 
 
 def test_truncated_auto_doubles_until_tail_clears(spec5):
@@ -220,7 +213,7 @@ def test_qbd_matches_truncated(data):
     lam = data.draw(st.floats(0.1, 0.5)) * service_rate(spec, phi)
     assume(lam > 1e-3)
     theta = lift_policy(phi)
-    capped = truncated_stationary(spec, lam, theta, 300, warn=False)
+    capped = truncated_stationary(spec, lam, theta, 300)
     assume(capped.tail_mass < 1e-13)
 
     exact = qbd_stationary(spec, lam, theta)
@@ -302,17 +295,6 @@ def test_queue_dependent_policy_transient_band(spec5):
     assert 0.0 < truncated_utilization(pmf, lazy) < 1.0
 
 
-def test_y_marginal_distance_shrinks_toward_lam(spec5):
-    from minwork.frontier import policy_from_occupation, solve_lp
-
-    lam = 0.15
-    dists = []
-    for nu in (0.25, 0.17):
-        phi = policy_from_occupation(solve_lp(spec5, nu, 1e-3).measure)
-        dists.append(y_marginal_distance(spec5, lam, phi))
-    assert 0.0 < dists[1] < dists[0] <= 2.0
-
-
 def test_kac_return_time(spec5):
     # mean recurrence time of a state is the inverse of its stationary
     # mass
@@ -320,8 +302,7 @@ def test_kac_return_time(spec5):
     theta = _theta5()
     target = SystemState(1, A, 0)
     stats = hitting_time_stats(spec5, lam, theta, target, SimConfig(horizon=200000, replications=2, seed=5))
-    pmf = truncated_stationary_auto(spec5, lam, theta)
-    expect = 1.0 / pmf.mass(1, A, 0)
+    expect = 1.0 / qbd_stationary(spec5, lam, theta).pi0[0]
     assert not stats.censored
     assert stats.count > 1000
     assert stats.mean == pytest.approx(expect, rel=0.1)
