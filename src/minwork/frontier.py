@@ -23,7 +23,8 @@ MASS_TOL = 1e-9
 
 
 class NotStabilizableError(ValueError):
-    """Requested arrival rate meets or exceeds the best service rate."""
+    """Requested arrival rate meets or exceeds the best service rate, or
+    the service rate of the policy asked for."""
 
 
 @dataclass(frozen=True)

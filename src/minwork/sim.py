@@ -17,7 +17,9 @@ tables and cross-checks the QBD oracle in the tests.
 
 The simulator draws four uniforms per step (action, completion,
 arrival, activity move) in a fixed order so that runs are bit-exact
-reproducible regardless of the path taken.
+reproducible regardless of the path taken. It draws them in blocks of
+SIM_BLOCK steps; the Philox stream does not depend on the block size,
+so neither do the results.
 """
 
 from __future__ import annotations
@@ -29,8 +31,9 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .chain import NEGATIVE_TOL
+from .chain import NEGATIVE_TOL, communicating_classes, stationary_pmf
 from .chain import stationary_pmf_y  # noqa: F401 - bench/tracing.py wraps it under this module
+from .frontier import NotStabilizableError
 from .model import (
     Availability,
     NumericalFailure,
@@ -44,6 +47,7 @@ QBD_T_TOL = 1e-15  # ||T||_inf bounds what further reduction steps add to G's ro
 FLOW_TOL = 1e-9  # |service rate - lam|
 QBD_BALANCE_TOL = 1e-12
 NORMALIZATION_TOL = 1e-10
+SIM_BLOCK = 4096  # steps of uniforms drawn at once; the stream is the same for any block size
 
 
 @dataclass(frozen=True)
@@ -215,8 +219,11 @@ def truncated_stationary(spec: ServerSpec, lam: float, theta, q_max: int) -> Tru
     # reaches the tens of thousands.  The reference state must carry
     # stationary mass; queue-dependent policies can make whole bands of
     # low-queue states transient, so a short damped power iteration
-    # locates a safely recurrent state first.
-    v = np.full(size, 1.0 / size)
+    # locates a safely recurrent state first.  It starts from the empty
+    # queue: mass started at high levels drains slowly and can leave the
+    # largest entry on a state of negligible stationary mass.
+    v = np.zeros(size)
+    v[:n] = 1.0 / n
     for _ in range(64):
         v = 0.5 * (v + v @ P)
     ref = int(np.argmax(v))
@@ -375,10 +382,18 @@ def qbd_stationary(spec: ServerSpec, lam: float, theta) -> QBDPMF:
     of the chain censored to levels 0 and 1, scaled so that
     pi0 1 + pi1 (I - R)^-1 1 = 1.
 
+    At a nonempty queue the phases move by up + local + down, the
+    reduced chain under the base policy, and the level drifts up by
+    lam - (service rate in that chain). The chain is positive recurrent
+    only if some recurrent class of the phases serves more than lam
+    (mean-drift condition, Neuts 1981).
+
     Raises ValueError for a policy whose work probabilities change with
-    q >= 1, and NumericalFailure naming the quantity, its value and its
-    bound when the service rate misses lam, the balance equations, the
-    sign or the normalization fail their audit.
+    q >= 1, NotStabilizableError naming the service rate and lam when
+    no recurrent class of the phases serves more than lam, and
+    NumericalFailure naming the quantity, its value and its bound when
+    the service rate misses lam, the balance equations, the sign or the
+    normalization fail their audit.
     """
     if not 0.0 < lam < 1.0:
         raise ValueError("lam must lie in (0, 1)")
@@ -393,6 +408,17 @@ def qbd_stationary(spec: ServerSpec, lam: float, theta) -> QBDPMF:
     b00 = (1.0 - lam) * rest0
     b01 = lam * np.hstack([rest0, np.zeros_like(rest0)])
     b10 = (1.0 - lam) * done
+    phases, served_at = up + local + down, done.sum(axis=1)
+    rate = max(
+        stationary_pmf(phases[np.ix_(c, c)]) @ served_at[c]
+        for c, recurrent in communicating_classes(phases)
+        if recurrent
+    )
+    if not rate > lam:
+        raise NotStabilizableError(
+            f"the policy serves {rate:.6g} per step at a nonempty queue, not more than "
+            f"the arrival rate {lam:g}: the queue has no stationary law"
+        )
     eye = np.eye(2 * n)
     try:
         G = _log_reduction(up, local, down)
@@ -506,9 +532,18 @@ def _replicate(
     """Replication rep of cfg from start: the step loop of both
     simulators.
 
+    Each block of up to SIM_BLOCK steps draws its uniforms at once. Per
+    step the loop only moves the state, with s 0-based, and records
+    3 s + outcome: 0 rest, 1 work, 2 work with a completion. After the
+    block, numpy rebuilds each step's state from the codes and the
+    arrival column: w is the previous step's outcome and q the carried q
+    plus the arrivals minus the completions so far.
+
     Returns the tallies over steps k >= burn as (works, completions,
     empty-queue steps, queue sum, queue max, visits per reduced state at
-    q >= 1), and the gaps between successive visits to target.
+    q >= 1), and the gaps between successive visits to target, one
+    integer array per block with a visit. With trace_rows, appends one (steps, 7) array per
+    block of rows (k, s, w, q, work, arrival, completion).
     """
     n = spec.n_s
     levels = table.shape[0] - 1
@@ -516,48 +551,67 @@ def _replicate(
     mu = spec.mu.tolist()
     r_up = spec.rho_up.tolist()
     r_dn = spec.rho_down.tolist()
-    # q = -1 never occurs, so without a target no step matches
-    t_s, t_w, t_q = (target.s, int(target.w), target.q) if target is not None else (0, 0, -1)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(cfg.seed, spawn_key=(rep,))))
-    s, w, q = start.s, int(start.w), start.q
+    s, w, q = start.s - 1, int(start.w), start.q
     works = done_count = empty = q_sum = q_max_seen = 0
-    y_counts = [0] * (2 * n)
+    y_counts = np.zeros(2 * n, dtype=np.int64)
     gaps = []
     last = 0
-    k = 0
-    while k < cfg.horizon:
-        for u_act, u_done, u_arr, u_move in rng.random((min(1 << 16, cfg.horizon - k), 4)):
-            counting = k >= burn
-            if counting:
-                if q == 0:
-                    empty += 1
+    for k0 in range(0, cfg.horizon, SIM_BLOCK):
+        u = rng.random((min(SIM_BLOCK, cfg.horizon - k0), 4))
+        w0, q0 = w, q
+        u_act, u_done, _, u_move = u.T.tolist()
+        arrival = u[:, 2] < lam
+        codes = []
+        record = codes.append
+        for act, comp, arr, move in zip(u_act, u_done, arrival.tolist(), u_move):
+            if act < tbl[q if q < levels else levels][w][s]:
+                if comp < mu[s]:
+                    record(3 * s + 2)
+                    q -= 1
+                    w = 0
                 else:
-                    y_counts[w * n + s - 1] += 1
-                q_sum += q
-                if q > q_max_seen:
-                    q_max_seen = q
-            p = tbl[q if q < levels else levels][w][s - 1]
-            work = u_act < p
-            done = work and (u_done < mu[s - 1])
-            arrival = u_arr < lam
-            if counting:
-                if work:
-                    works += 1
-                if done:
-                    done_count += 1
-            if trace_rows is not None:
-                trace_rows.append((k, s, w, q, int(work), int(arrival), int(done)))
-            q = q - (1 if done else 0) + (1 if arrival else 0)
-            w = 1 if (work and not done) else 0
-            if work:
-                if u_move < r_up[s - 1]:
+                    record(3 * s + 1)
+                    w = 1
+                if move < r_up[s]:
                     s += 1
-            elif u_move < r_dn[s - 1]:
-                s -= 1
-            k += 1
-            if q == t_q and s == t_s and w == t_w:
-                gaps.append(k - last)
-                last = k
+            else:
+                record(3 * s)
+                w = 0
+                if move < r_dn[s]:
+                    s -= 1
+            if arr:
+                q += 1
+
+        code = np.array(codes, dtype=np.int64)
+        outcome = code % 3
+        done = outcome == 2
+        q_next = q0 + np.cumsum(arrival.astype(np.int64) - done)
+        w_next = outcome == 1
+        s_now = code // 3
+        w_now = np.concatenate(([w0], w_next[:-1]))
+        q_now = np.concatenate(([q0], q_next[:-1]))
+        i = max(burn - k0, 0)
+        if i < code.size:
+            qc = q_now[i:]
+            busy = qc > 0
+            works += int(np.count_nonzero(outcome[i:]))
+            done_count += int(np.count_nonzero(done[i:]))
+            empty += qc.size - int(np.count_nonzero(busy))
+            q_sum += int(qc.sum())
+            q_max_seen = max(q_max_seen, int(qc.max()))
+            y_counts += np.bincount((w_now[i:] * n + s_now[i:])[busy], minlength=2 * n)
+        if target is not None:
+            s_next = np.append(s_now[1:], s)
+            hit = (s_next == target.s - 1) & (w_next == int(target.w)) & (q_next == target.q)
+            times = k0 + 1 + np.flatnonzero(hit)
+            if times.size:
+                gaps.append(np.diff(times, prepend=last))
+                last = int(times[-1])
+        if trace_rows is not None:
+            k = np.arange(k0, k0 + code.size)
+            rows = np.column_stack((k, s_now + 1, w_now, q_now, outcome > 0, arrival, done))
+            trace_rows.append(rows.astype(np.int64))
     return (works, done_count, empty, q_sum, q_max_seen, y_counts), gaps
 
 
@@ -581,7 +635,7 @@ def simulate(spec: ServerSpec, lam: float, theta, cfg: SimConfig) -> SimResult:
             spec, lam, table, cfg, rep, cfg.initial_state, cfg.burn_in, trace_rows=trace_rows
         )
         tallies[rep] = totals
-        y_counts_total += np.asarray(y_counts, dtype=float) / counted
+        y_counts_total += y_counts / counted
     rep_util, rep_srv, rep_empty, rep_qmean = (tallies[:, :4] / counted).T
     rep_qmax = tallies[:, 4].astype(np.int64)
 
@@ -599,7 +653,7 @@ def simulate(spec: ServerSpec, lam: float, theta, cfg: SimConfig) -> SimResult:
         rep_empty_fraction=rep_empty,
         rep_queue_mean=rep_qmean,
         rep_queue_max=rep_qmax,
-        trace=np.asarray(trace_rows, dtype=np.int64) if trace_rows is not None else None,
+        trace=np.concatenate(trace_rows) if trace_rows is not None else None,
     )
 
 
@@ -632,10 +686,10 @@ def hitting_time_stats(spec: ServerSpec, lam: float, theta, target: SystemState,
 
     if not gaps:
         return HittingStats(mean=float("nan"), count=0, censored=True, min_time=0, max_time=0)
-    arr = np.asarray(gaps, dtype=float)
+    arr = np.concatenate(gaps).astype(float)
     return HittingStats(
         mean=float(arr.mean()),
-        count=len(gaps),
+        count=arr.size,
         censored=censored,
         min_time=int(arr.min()),
         max_time=int(arr.max()),

@@ -96,11 +96,11 @@ def test_exit_codes(config_path, tmp_path, capsys):
     # service rate beyond the achievable maximum
     assert run("simulate", "--config", config_path, "--lambda", 0.15,
                "--eps", 1e-3, "--nu-bar", 0.35) == 3
-    # a policy serving below the arrival rate fails the oracle's flow audit
+    # a policy serving below the arrival rate cannot stabilize the queue
     capsys.readouterr()
     assert run("simulate", "--config", config_path, "--lambda", 0.15,
-               "--eps", 1e-3, "--nu-bar", 0.14) == 1
-    assert "served-rate residual" in capsys.readouterr().err
+               "--eps", 1e-3, "--nu-bar", 0.14) == 3
+    assert "serves 0.14 per step at a nonempty queue" in capsys.readouterr().err
     # arrival rate not stabilizable
     assert run("policy", "--config", config_path, "--lambda", 0.4) == 3
     # missing and malformed configs

@@ -1,13 +1,15 @@
 """Monte-Carlo simulator and the two stationary oracles: queue-capped and QBD."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from minwork import sim
 from minwork.chain import service_rate, threshold_policy
-from minwork.frontier import policy_from_occupation, solve_lp
+from minwork.frontier import NotStabilizableError, policy_from_occupation, solve_lp
 from minwork.model import (
     Action,
     Availability,
@@ -226,6 +228,21 @@ def test_qbd_matches_truncated(data):
     assert 0.0 < exact.tail_decay < 1.0
 
 
+def test_truncated_matches_qbd_when_high_levels_drain_slowly():
+    # at q >= 1 this policy pins the server to s = 4 once it gets there,
+    # so mass started near the cap drains slowly; the reference state of
+    # the capped solve must still carry stationary mass
+    spec = ServerSpec(n_s=4, mu=np.array([0.5, 0.5, 0.25, 0.3125]), rho_up=np.full(3, 0.5), rho_down=np.full(3, 0.5))
+    phi = PolicyY(np.array([0.125, 0.0, 0.0, 1.0]))
+    lam = 0.5 * service_rate(spec, phi)
+    theta = lift_policy(phi)
+    capped = truncated_stationary(spec, lam, theta, 300)
+    assert capped.tail_mass < 1e-13
+    exact = qbd_stationary(spec, lam, theta)
+    assert exact.utilization == pytest.approx(truncated_utilization(capped, theta), abs=1e-10)
+    np.testing.assert_allclose(exact.y_marginal, capped.y_marginal(), rtol=0.0, atol=1e-10)
+
+
 def test_qbd_matches_truncated_at_c10_rates(spec5):
     # the five LP targets of check C10, where the truncated oracle needs
     # q_max up to 8192 and the tail falls by sp(R) ~ 0.999 per level
@@ -267,9 +284,12 @@ def test_qbd_tail_level_is_smallest_clearing_level(spec5):
 
 
 def test_qbd_raises_on_unstable_policy(spec5):
-    # tau = 2 serves below lam = 0.15: there is no stationary law
-    with pytest.raises(NumericalFailure):
-        qbd_stationary(spec5, 0.15, lift_policy(threshold_policy(5, 2)))
+    # tau = 2 serves below lam = 0.15: the level drifts up, so there is
+    # no stationary law
+    theta = lift_policy(threshold_policy(5, 2))
+    rate = service_rate(spec5, theta.base)
+    with pytest.raises(NotStabilizableError, match=f"serves {rate:.6g} .* arrival rate 0.15"):
+        qbd_stationary(spec5, 0.15, theta)
 
 
 def test_truncated_rejects_tiny_qmax(spec5):
@@ -311,20 +331,38 @@ def test_kac_return_time(spec5):
 
 
 def test_trace_semantics(spec5):
-    cfg = SimConfig(horizon=500, burn_in=0, replications=1, seed=9, trace=True)
+    # several blocks of the step loop, burn-in inside the second
+    horizon, burn = 3 * sim.SIM_BLOCK + 500, sim.SIM_BLOCK + 123
+    cfg = SimConfig(horizon=horizon, burn_in=burn, replications=1, seed=9, trace=True)
     res = simulate(spec5, 0.3, _theta5(), cfg)
     t = res.trace
-    assert t.shape == (500, 7)
+    assert t.shape == (horizon, 7)
     k, s, w, q, work, arrival, done = t.T
-    assert np.array_equal(k, np.arange(500))
+    assert np.array_equal(k, np.arange(horizon))
     assert np.all((s >= 1) & (s <= 5))
     assert np.all((w == 0) | (w == 1))
     assert np.all(done <= work)
     assert np.all(work[q == 0] == 0)
+    assert np.all(work[w == 1] == 1)  # a busy server works
     # queue recursion: next q = q - done + arrival
     np.testing.assert_array_equal(q[1:], q[:-1] - done[:-1] + arrival[:-1])
     # availability recursion: busy iff worked without completing
     np.testing.assert_array_equal(w[1:], work[:-1] & ~done[:-1].astype(bool))
+    # activity moves by one at most: up only after work, down only after rest
+    ds = np.diff(s)
+    assert np.all(np.abs(ds) <= 1)
+    assert np.all(work[:-1][ds > 0] == 1)
+    assert np.all(work[:-1][ds < 0] == 0)
+    # the tallies are those of the traced steps from burn-in on
+    counted = t[burn:]
+    assert res.rep_utilization.tolist() == [counted[:, 4].sum() / counted.shape[0]]
+    assert res.rep_service_rate.tolist() == [counted[:, 6].sum() / counted.shape[0]]
+    assert res.rep_empty_fraction.tolist() == [np.count_nonzero(counted[:, 3] == 0) / counted.shape[0]]
+    assert res.rep_queue_mean.tolist() == [counted[:, 3].sum() / counted.shape[0]]
+    assert res.rep_queue_max.tolist() == [counted[:, 3].max()]
+    busy = counted[counted[:, 3] > 0]
+    visits = np.bincount(busy[:, 2] * 5 + busy[:, 1] - 1, minlength=10)
+    assert res.y_marginal.tolist() == (visits / counted.shape[0]).tolist()
 
 
 def test_trace_disabled_by_default(spec5):
@@ -369,3 +407,75 @@ def test_hitting_time_pinned_outputs(spec5):
     assert (stats.mean, stats.count, stats.censored, stats.min_time, stats.max_time) == (
         29.34977973568282, 3405, False, 1, 555,
     )
+
+
+def test_simulate_pinned_outputs_past_a_block(spec5):
+    # recorded with the step loop that drew 2^16 steps at a time: this
+    # run crosses that boundary and starts its tallies on it
+    cfg = SimConfig(horizon=70_000, burn_in=65_536, replications=2, seed=17, trace=True)
+    res = simulate(spec5, 0.2, _theta5(), cfg)
+    assert res.rep_utilization.tolist() == [0.5161290322580645, 0.5857974910394266]
+    assert res.rep_service_rate.tolist() == [0.19310035842293907, 0.20094086021505375]
+    assert res.rep_empty_fraction.tolist() == [0.4475806451612903, 0.36066308243727596]
+    assert res.rep_queue_mean.tolist() == [1.5038082437275986, 2.274417562724014]
+    assert res.rep_queue_max.tolist() == [17, 23]
+    assert res.y_marginal.tolist() == [
+        0.006160394265232975, 0.035618279569892476, 0.05521953405017921, 0.09991039426523297,
+        0.04491487455197132, 0.026545698924731184, 0.03853046594982079, 0.10607078853046595,
+        0.09935035842293907, 0.08355734767025089,
+    ]
+    trace = np.ascontiguousarray(res.trace, dtype="<i8")
+    assert trace.shape == (140000, 7)
+    assert trace[65535:65538].tolist() == [
+        [65535, 5, 1, 11, 1, 0, 0], [65536, 5, 1, 11, 1, 0, 0], [65537, 5, 1, 11, 1, 0, 0],
+    ]
+    assert hashlib.sha256(trace.tobytes()).hexdigest() == (
+        "5ed1f367b3c336b9b291f49917de08d92500bd60324eac34e5509d438011f159"
+    )
+
+
+def test_hitting_time_pinned_outputs_past_a_block(spec5):
+    tbl = np.zeros((4, 2, 5))
+    tbl[1:, 1] = 1.0
+    tbl[1:3, 0] = [0.5, 0.5, 0.5, 0.5, 0.0]
+    tbl[3, 0] = [1.0, 1.0, 1.0, 1.0, 0.0]
+    cfg = SimConfig(horizon=120_000, replications=2, seed=8)
+    stats = hitting_time_stats(spec5, 0.15, TabularPolicyX(tbl), SystemState(3, A, 2), cfg)
+    assert (stats.mean, stats.count, stats.censored, stats.min_time, stats.max_time) == (
+        52.92572944297082, 4524, False, 1, 1315,
+    )
+
+
+def test_outputs_do_not_depend_on_block_size(spec5, monkeypatch):
+    # the stream of uniforms is the same for any block size, and the
+    # per-block tallies, return times and trace rows carry across blocks
+    tbl = np.zeros((3, 2, 5))
+    tbl[1:, 1] = 1.0
+    tbl[1, 0] = [0.5, 0.5, 0.5, 0.5, 0.0]
+    tbl[2, 0] = [1.0, 1.0, 1.0, 1.0, 0.0]
+    tab = TabularPolicyX(tbl)
+    empty = SystemState(1, A, 0)
+    runs = [
+        lambda: simulate(spec5, 0.2, _theta5(), SimConfig(9000, burn_in=4100, replications=2, seed=3, trace=True)),
+        lambda: simulate(spec5, 0.15, tab, SimConfig(5000, burn_in=0, seed=4, trace=True)),
+        lambda: hitting_time_stats(spec5, 0.15, _theta5(), empty, SimConfig(9000, replications=2, seed=5)),
+        lambda: hitting_time_stats(spec5, 0.15, tab, SystemState(2, B, 2), SimConfig(9000, seed=6)),
+    ]
+    default = [run() for run in runs]
+    monkeypatch.setattr(sim, "SIM_BLOCK", 7)
+    for run, expect in zip(runs, default):
+        got = run()
+        for name, value in vars(expect).items():
+            np.testing.assert_array_equal(getattr(got, name), value, err_msg=name)
+
+
+def test_step_loop_memory_stays_small(spec5):
+    # the loop holds one block of uniforms as Python floats at a time;
+    # a whole horizon, or a block of 2^16 steps, would take over 10 MB
+    tracemalloc.start()
+    try:
+        simulate(spec5, 0.15, _theta5(), SimConfig(horizon=200_000, replications=2, seed=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
