@@ -101,33 +101,18 @@ def solve_lp(spec: ServerSpec, nu_bar: float, eps: float) -> LpResult:
     c[ib] = 1.0
 
     pw, pr = _kernel_matrices(spec)
-    rows = []
-    rhs = []
-    # service rate
-    row = np.zeros(nv)
-    row[iw] = spec.mu
-    row[ib] = spec.mu
-    rows.append(row)
-    rhs.append(nu_bar)
-    # normalization
-    rows.append(np.ones(nv))
-    rhs.append(1.0)
-    # stationarity per reduced state y: out-mass equals in-mass
-    for j in range(2 * n):
-        row = np.zeros(nv)
-        if j < n:
-            row[iw[j]] += 1.0
-            row[ir[j]] += 1.0
-        else:
-            row[ib[j - n]] += 1.0
-        row[iw] -= pw[:n, j]
-        row[ib] -= pw[n:, j]
-        row[ir] -= pr[:n, j]
-        rows.append(row)
-        rhs.append(0.0)
-
-    a_eq = np.vstack(rows)
-    b_eq = np.asarray(rhs)
+    # Rows: the service rate, total mass one, then stationarity per reduced
+    # state y: its mass (rest_a or work_b at column n + y, plus work_a at
+    # column y when y is available) minus the kernel-weighted inflow.
+    out_mass = np.eye(2 * n, nv, k=n)
+    out_mass[:n, :n] = np.eye(n)
+    a_eq = np.vstack([
+        np.concatenate([spec.mu, np.zeros(n), spec.mu]),
+        np.ones(nv),
+        out_mass - np.hstack([pw[:n].T, pr[:n].T, pw[n:].T]),
+    ])
+    b_eq = np.zeros(2 * n + 2)
+    b_eq[:2] = nu_bar, 1.0
 
     # The floor (1-eps) l_{(1,A),W} >= eps l_{(1,A),R} is enforced by exact
     # substitution l_W = z + k l_R with k = eps/(1-eps) and z >= 0.  Passing

@@ -73,7 +73,9 @@ class ServerSpec:
     rho_down[s-1] = rho_{s,s-1} are the activity move probabilities
     under work and rest. Boundary entries rho_{n_s,n_s+1} and rho_{1,0}
     are stored explicitly as zeros; they may be omitted on input and are
-    filled in. Interior entries must lie in (0, 1).
+    filled in. Interior entries must lie in (0, 1). The spec keeps
+    read-only copies of the arrays passed in, so nothing can change them
+    after validation.
     """
 
     n_s: int
@@ -87,13 +89,13 @@ class ServerSpec:
             raise ValueError(f"n_s must be a positive integer, got {self.n_s!r}")
         object.__setattr__(self, "n_s", int(n))
 
-        mu = np.asarray(self.mu, dtype=float)
+        mu = np.array(self.mu, dtype=float)
         if mu.shape != (n,):
             raise ValueError(f"mu must have length n_s={n}, got shape {mu.shape}")
         if not np.all((mu > 0.0) & (mu < 1.0)):
             raise ValueError("mu entries must lie in the open interval (0, 1)")
 
-        rho_up = np.asarray(self.rho_up, dtype=float)
+        rho_up = np.array(self.rho_up, dtype=float)
         if rho_up.shape == (n - 1,):
             rho_up = np.append(rho_up, 0.0)  # rho_{n_s, n_s+1} = 0 forced
         if rho_up.shape != (n,):
@@ -103,7 +105,7 @@ class ServerSpec:
         if n > 1 and not np.all((rho_up[: n - 1] > 0.0) & (rho_up[: n - 1] < 1.0)):
             raise ValueError("interior rho_up entries must lie in (0, 1)")
 
-        rho_down = np.asarray(self.rho_down, dtype=float)
+        rho_down = np.array(self.rho_down, dtype=float)
         if rho_down.shape == (n - 1,):
             rho_down = np.insert(rho_down, 0, 0.0)  # rho_{1,0} = 0 forced
         if rho_down.shape != (n,):
@@ -116,6 +118,11 @@ class ServerSpec:
         for name, arr in (("mu", mu), ("rho_up", rho_up), ("rho_down", rho_down)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+
+    def __reduce__(self):
+        # copies and unpickled specs go through validation again, so their
+        # arrays are read-only too and carry no kernels of another spec
+        return (ServerSpec, (self.n_s, self.mu, self.rho_up, self.rho_down))
 
     @property
     def n_y(self) -> int:
@@ -292,7 +299,12 @@ def _kernel_matrices(spec: ServerSpec):
 
     P_R rows at busy states carry the rest kernel for completeness; they
     always receive zero weight because non-preemption forces work.
+    The spec is immutable, so the first call for a spec builds them and
+    keeps them on it, read-only; every later call returns the same pair.
     """
+    cached = getattr(spec, "_kernels", None)
+    if cached is not None:
+        return cached
     n = spec.n_s
     up = np.zeros((n, n))
     down = np.zeros((n, n))
@@ -310,6 +322,9 @@ def _kernel_matrices(spec: ServerSpec):
         pw[rows, :n] = up * mu
         pw[rows, n:] = up * (1.0 - mu)
         pr[rows, :n] = down
+    pw.setflags(write=False)
+    pr.setflags(write=False)
+    object.__setattr__(spec, "_kernels", (pw, pr))
     return pw, pr
 
 

@@ -14,6 +14,7 @@ two are never allowed to share geometry code.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,50 +41,50 @@ class SimplexResult:
 
 
 def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
-    T[row] = T[row] / T[row, col]
-    piv = T[row]
-    for i in range(T.shape[0]):
-        if i != row and T[i, col] != 0.0:
-            T[i] = T[i] - T[i, col] * piv
+    """Scale the pivot row, then subtract its multiple from every other
+    row with a nonzero entry in the pivot column, as one rank-1 update;
+    rows with a zero multiplier are left untouched."""
+    T[row] /= T[row, col]
+    f = T[:, col, None].copy()
+    f[row] = 0.0
+    np.subtract(T, f * T[row], out=T, where=f != 0.0)
     basis[row] = col
 
 
-def _bland_min(T: np.ndarray, basis: np.ndarray, active: np.ndarray, max_iter: int) -> str:
+def _bland_min(T: np.ndarray, basis: np.ndarray, max_iter: int) -> str:
     """Minimize the cost row in place. Returns "optimal" or "unbounded".
 
-    Entering column is the smallest-index active column with negative
-    reduced cost (Bland). The leaving row is the minimum-ratio row with
-    ties broken toward the largest pivot element, then the smallest
-    basic index; rounding noise in the rhs is clamped to zero so a
+    Entering column is the smallest-index column with negative reduced
+    cost (Bland). The leaving row is the minimum-ratio row with ties
+    broken toward the largest pivot element, then the smallest basic
+    index; rounding noise in the rhs is clamped to zero so a
     tiny-negative-over-tiny ratio cannot walk the basis infeasible.
     The iteration cap turns any residual cycling into an error.
+
+    The tableaus are a few dozen entries wide, so each iteration reads
+    the cost row, the entering column and the rhs once as Python floats
+    and applies the rules to those; only the pivot itself runs in numpy.
     """
     m = T.shape[0] - 1
     for _ in range(max_iter):
         rhs = T[:m, -1]
         np.copyto(rhs, 0.0, where=np.abs(rhs) < _RHS_TOL)
-        cost = T[-1, :-1]
-        enter = -1
-        for j in np.flatnonzero(active):
-            if cost[j] < -_RC_TOL:
-                enter = int(j)
-                break
+        enter = next((j for j, r in enumerate(T[-1, :-1].tolist()) if r < -_RC_TOL), -1)
         if enter < 0:
             return "optimal"
-        col = T[:m, enter]
-        best = np.inf
-        for i in range(m):
-            if col[i] > _PIV_TOL:
-                best = min(best, max(rhs[i], 0.0) / col[i])
-        if not np.isfinite(best):
+        ratios = [
+            (i, a, max(r, 0.0) / a)
+            for i, (a, r) in enumerate(zip(T[:m, enter].tolist(), rhs.tolist()))
+            if a > _PIV_TOL
+        ]
+        best = min([math.inf] + [q for _, _, q in ratios])
+        if best == math.inf:
             return "unbounded"
-        leave = -1
-        window = 1e-12 + 1e-9 * best
-        for i in range(m):
-            a = col[i]
-            if a > _PIV_TOL and max(rhs[i], 0.0) / a <= best + window:
-                if leave < 0 or a > col[leave] or (a == col[leave] and basis[i] < basis[leave]):
-                    leave = i
+        leave, a_leave = -1, 0.0
+        top = best + (1e-12 + 1e-9 * best)
+        for i, a, q in ratios:
+            if q <= top and (leave < 0 or a > a_leave or (a == a_leave and basis[i] < basis[leave])):
+                leave, a_leave = i, a
         if T[leave, -1] < 0.0:
             T[leave, -1] = 0.0
         _pivot(T, basis, leave, enter)
@@ -102,31 +103,25 @@ def solve_simplex(
     """min c.x subject to A_eq x = b_eq, A_ub x <= b_ub, x >= 0."""
     c = np.asarray(c, dtype=float)
     n = c.size
-    rows = []
-    rhs = []
-    n_slack = 0 if A_ub is None else np.atleast_2d(A_ub).shape[0]
+    n_slack = 0
+    blocks = []
     if A_ub is not None:
         A_ub = np.atleast_2d(np.asarray(A_ub, dtype=float))
         b_ub = np.atleast_1d(np.asarray(b_ub, dtype=float))
-        for i in range(A_ub.shape[0]):
-            row = np.zeros(n + n_slack)
-            row[:n] = A_ub[i]
-            row[n + i] = 1.0
-            rows.append(row)
-            rhs.append(b_ub[i])
+        n_slack = A_ub.shape[0]
+        blocks.append((A_ub, np.eye(n_slack), b_ub))
     if A_eq is not None:
         A_eq = np.atleast_2d(np.asarray(A_eq, dtype=float))
         b_eq = np.atleast_1d(np.asarray(b_eq, dtype=float))
-        for i in range(A_eq.shape[0]):
-            row = np.zeros(n + n_slack)
-            row[:n] = A_eq[i]
-            rows.append(row)
-            rhs.append(b_eq[i])
-    if not rows:
+        blocks.append((A_eq, np.zeros((A_eq.shape[0], n_slack)), b_eq))
+    if not blocks:
         raise ValueError("no constraints given")
+    for a, _, rhs in blocks:
+        if a.shape[1] != n or rhs.shape != (a.shape[0],):
+            raise ValueError(f"constraints of shape {a.shape} and rhs of shape {rhs.shape} do not fit {n} variables")
 
-    A = np.vstack(rows)
-    b = np.asarray(rhs, dtype=float)
+    A = np.vstack([np.hstack([a, slack]) for a, slack, _ in blocks])
+    b = np.concatenate([rhs for _, _, rhs in blocks])
     neg = b < 0.0
     A[neg] *= -1.0
     b[neg] *= -1.0
@@ -143,38 +138,32 @@ def solve_simplex(
     T[-1, :n_tot] = -A.sum(axis=0)
     T[-1, -1] = -b.sum()
     basis = np.arange(n_tot, n_tot + m)
-    active = np.ones(n_tot + m, dtype=bool)
 
-    status = _bland_min(T, basis, active, max_iter)
+    status = _bland_min(T, basis, max_iter)
     if status != "optimal" or not np.all(np.isfinite(T)):
         raise NumericalFailure(f"phase-one simplex ended with status {status}")
     # the objective row accumulates rounding drift, so judge feasibility
     # by the artificial levels actually left in the basis
-    phase1 = sum(max(float(T[i, -1]), 0.0) for i in range(m) if basis[i] >= n_tot)
+    phase1 = sum(max(r, 0.0) for r, j in zip(T[:m, -1].tolist(), basis.tolist()) if j >= n_tot)
     if phase1 > feas_tol:
         return SimplexResult("infeasible", None, None)
 
     # Drive artificials out of the basis; a row with no real pivot
-    # candidate is a redundant constraint and is dropped.  Tableau rows
-    # are never reordered, so row_ids keeps the map back to A.
-    row_ids = np.arange(m)
+    # candidate is a redundant constraint and is dropped, from the tableau
+    # and from A alike, so the rows of A stay aligned with the tableau's.
     drop = []
     for i in range(m):
         if basis[i] >= n_tot:
-            cand = -1
-            for j in range(n_tot):
-                if abs(T[i, j]) > _PIV_TOL:
-                    cand = j
-                    break
-            if cand < 0:
+            cand = np.flatnonzero(np.abs(T[i, :n_tot]) > _PIV_TOL)
+            if cand.size == 0:
                 drop.append(i)
             else:
-                _pivot(T, basis, i, cand)
+                _pivot(T, basis, i, int(cand[0]))
     if drop:
         keep = [i for i in range(m) if i not in set(drop)]
         T = T[keep + [m]]
         basis = basis[keep]
-        row_ids = row_ids[keep]
+        A, b = A[keep], b[keep]
         m = len(keep)
 
     # Phase two on the original columns only.
@@ -185,12 +174,10 @@ def solve_simplex(
     cost[:n] = c
     T2[-1, :n_tot] = cost
     # reduce the cost row against the current basis
-    for i in range(m):
-        cb = cost[basis[i]]
+    for i, cb in enumerate(cost[basis].tolist()):
         if cb != 0.0:
             T2[-1] -= cb * T2[i]
-    active = np.ones(n_tot, dtype=bool)
-    status = _bland_min(T2, basis, active, max_iter)
+    status = _bland_min(T2, basis, max_iter)
     if status == "unbounded":
         return SimplexResult("unbounded", None, None)
 
@@ -204,14 +191,14 @@ def solve_simplex(
     xb = None
     if m > 0:
         try:
-            xb = np.linalg.solve(A[row_ids][:, basis], b[row_ids])
+            xb = np.linalg.solve(A[:, basis], b)
         except np.linalg.LinAlgError:
             pass
     if xb is not None and np.all(np.isfinite(xb)):
         x_rep = np.zeros(n_tot)
         x_rep[basis] = xb
-        res_tab = np.max(np.abs(A[row_ids] @ x - b[row_ids]))
-        res_rep = np.max(np.abs(A[row_ids] @ x_rep - b[row_ids]))
+        res_tab = np.max(np.abs(A @ x - b))
+        res_rep = np.max(np.abs(A @ x_rep - b))
         if res_rep <= res_tab and xb.min() > -1e-9:
             x = x_rep
     x = np.where(np.abs(x) < 1e-14, 0.0, x)

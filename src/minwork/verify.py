@@ -48,8 +48,12 @@ class CheckResult:
     values: dict = field(default_factory=dict)
 
     def line(self) -> str:
+        """One console line; a timed check ends it with its wall seconds."""
         status = "PASS" if self.passed else "FAIL"
-        return f"[{status}] {self.cid} {self.name}: {self.detail}"
+        text = f"[{status}] {self.cid} {self.name}: {self.detail}"
+        if "seconds" in self.values:
+            text += f" [{self.values['seconds']:.3f} s]"
+        return text
 
 
 def _result(cid, name, passed, detail, values=None):

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
@@ -133,6 +134,11 @@ def test_verify_subset(config_path, tmp_path, capsys):
     assert [c["id"] for c in blob] == ["C4", "C6"]
     assert all(c["passed"] for c in blob)
     assert all(c["values"]["seconds"] >= 0.0 for c in blob)
+    # each check's line ends with the wall seconds that verify.json holds
+    lines = [ln for ln in out.splitlines() if ln.startswith("[PASS]")]
+    for ln, c in zip(lines, blob):
+        assert re.search(r" \[\d+\.\d{3} s\]$", ln), ln
+        assert ln.endswith(f" [{c['values']['seconds']:.3f} s]")
 
 
 def test_verify_unknown_check(config_path, capsys):

@@ -4,6 +4,8 @@ The LP and the hull are independent routes to the same boundary; their
 agreement at eps = 0 is the main cross-check.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -192,18 +194,63 @@ def test_lp_hull_agreement_random_specs(data):
         assert res.value == pytest.approx(f(float(nu)), abs=1e-8)
 
 
+def _random_spec(rng, n):
+    return ServerSpec(
+        n_s=n,
+        mu=rng.uniform(0.02, 0.95, n),
+        rho_up=rng.uniform(0.02, 0.5, n - 1),
+        rho_down=rng.uniform(0.02, 0.5, n - 1),
+    )
+
+
 def test_frontier_on_large_random_models():
     # 40-state models whose stationary solves leave round-off entries of
     # a few 1e-15 below zero; they are clipped, not rejected
     n = 40
     for seed in (0, 1, 2):
-        rng = np.random.default_rng(seed)
-        spec = ServerSpec(
-            n_s=n,
-            mu=rng.uniform(0.02, 0.95, n),
-            rho_up=rng.uniform(0.02, 0.5, n - 1),
-            rho_down=rng.uniform(0.02, 0.5, n - 1),
-        )
+        spec = _random_spec(np.random.default_rng(seed), n)
         f = frontier(spec)
         assert f.nu_star == pytest.approx(max_service_rate(spec)[0], abs=1e-12)
         assert f.breakpoints[0] == (0.0, 0.0)
+
+
+PINNED_LP_OUTCOMES = {"feasible": 232, "infeasible": 1, "raised": 7}
+PINNED_LP_DIGEST = "73cbbe33278463af570febb79f34c198bcee5b3e0224f51acad47c0a13eaadbd"
+
+
+def test_solve_lp_pinned_outputs():
+    # Every bit of every answer is pinned: feasibility, value and the three
+    # measure arrays, for two seeded models per n_s = 2..6 at 8 service
+    # rates and 3 floors, raising cases by exception type and message (the
+    # seven at n_s = 6 are the simplex fault of the dense tableau).
+    # The digest was recorded on the commit before the simplex priced on
+    # Python floats and pivoted by one rank-1 update, and holds on both; a
+    # change to the pivot sequence (such as a simplex that refactors its
+    # basis) changes it and has to re-record it on purpose.
+    h = hashlib.sha256()
+    outcomes = {"feasible": 0, "infeasible": 0, "raised": 0}
+    raised = []
+    for n in range(2, 7):
+        rng = np.random.default_rng([2024, n])
+        for _ in range(2):
+            spec = _random_spec(rng, n)
+            nu_star = max_service_rate(spec)[0]
+            for frac in np.linspace(0.1, 0.95, 8):
+                for eps in (0.0, 1e-4, 1e-2):
+                    try:
+                        res = solve_lp(spec, float(frac * nu_star), eps)
+                    except Exception as exc:  # noqa: BLE001 - pinned like any answer
+                        outcomes["raised"] += 1
+                        raised.append((type(exc).__name__, str(exc)))
+                        h.update(repr(raised[-1]).encode())
+                        continue
+                    outcomes["feasible" if res.feasible else "infeasible"] += 1
+                    h.update(repr(res.feasible).encode())
+                    h.update(np.float64(res.value).tobytes())
+                    if res.measure is not None:
+                        for arr in (res.measure.work_a, res.measure.rest_a, res.measure.work_b):
+                            h.update(arr.tobytes())
+    assert outcomes == PINNED_LP_OUTCOMES
+    assert raised[0] == ("NumericalFailure", "simplex solution has negative entry -7.599e-03")
+    assert raised[-1] == ("NumericalFailure", "simplex equality residual 2.281e-02")
+    assert h.hexdigest() == PINNED_LP_DIGEST

@@ -1,5 +1,8 @@
 """Kernel and admissibility checks, plus randomized invariants."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,6 +23,7 @@ from minwork.model import (
     y_state,
     ybar_kernel,
     ybar_matrix,
+    _kernel_matrices,
 )
 
 A, B = Availability.A, Availability.B
@@ -75,6 +79,40 @@ def test_spec_validation():
     # short forms omit the forced boundary zeros
     s = ServerSpec(n_s=2, mu=[0.5, 0.5], rho_up=[0.5], rho_down=[0.5])
     assert s.rho_up[-1] == 0.0 and s.rho_down[0] == 0.0
+
+
+def test_spec_is_immutable(spec5):
+    mu = np.array([0.5, 0.5])
+    spec = ServerSpec(n_s=2, mu=mu, rho_up=[0.5], rho_down=[0.5])
+    for arr in (spec.mu, spec.rho_up, spec.rho_down):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.25
+    # the spec keeps its own copy: the caller's array stays writeable and
+    # changing it does not reach the spec
+    mu[0] = 0.25
+    assert spec.mu[0] == 0.5
+    _kernel_matrices(spec)
+    for twin in (copy.deepcopy(spec), pickle.loads(pickle.dumps(spec))):
+        assert not twin.mu.flags.writeable
+        assert "_kernels" not in vars(twin)
+        np.testing.assert_array_equal(twin.rho_down, spec.rho_down)
+
+
+@pytest.mark.parametrize("name", ["spec2", "spec5"])
+def test_kernels_built_once_per_spec(name, request):
+    spec = request.getfixturevalue(name)
+    pw, pr = _kernel_matrices(spec)
+    again = _kernel_matrices(spec)
+    assert again[0] is pw and again[1] is pr
+    for k in (pw, pr):
+        assert not k.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            k[0, 0] = 0.0
+    n = spec.n_s
+    for i in range(2 * n):
+        y = y_state(n, i)
+        for a in admissible_actions_y(y.w):
+            np.testing.assert_array_equal((pw if a == WORK else pr)[i], ybar_kernel(spec, y, a))
 
 
 def test_activity_transition_examples(spec2):
