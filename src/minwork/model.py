@@ -124,6 +124,18 @@ class ServerSpec:
         # arrays are read-only too and carry no kernels of another spec
         return (ServerSpec, (self.n_s, self.mu, self.rho_up, self.rho_down))
 
+    # Specs compare and hash by value; the cached kernels take no part.
+    # Hashing Python floats makes a stored -0.0 hash like the 0.0 it equals.
+    def __eq__(self, other):
+        if not isinstance(other, ServerSpec):
+            return NotImplemented
+        return self.n_s == other.n_s and all(
+            np.array_equal(getattr(self, name), getattr(other, name)) for name in ("mu", "rho_up", "rho_down")
+        )
+
+    def __hash__(self):
+        return hash((self.n_s, *(tuple(a.tolist()) for a in (self.mu, self.rho_up, self.rho_down))))
+
     @property
     def n_y(self) -> int:
         return 2 * self.n_s

@@ -546,6 +546,13 @@ def _replicate(
     block of rows (k, s, w, q, work, arrival, completion).
     """
     n = spec.n_s
+    for state in (start, target):
+        # a busy server holds the job in service, so q >= 1 when w = B
+        if state is not None and not (1 <= state.s <= n and state.w in (0, 1) and state.q >= state.w):
+            raise ValueError(
+                f"(s, w, q) = ({state.s}, {state.w}, {state.q}) is not a state for n_s={n}: "
+                "s must lie in 1..n_s, q >= 0, and q >= 1 when busy"
+            )
     levels = table.shape[0] - 1
     tbl = table.tolist()
     mu = spec.mu.tolist()

@@ -4,8 +4,8 @@ Kept deliberately small: the programs solved here have at most a few
 dozen variables and constraints, so there is no tableau sparsity, no
 revised form, no presolve. Equalities get artificial variables in
 phase one; redundant equality rows surface as zero rows after phase one
-and are dropped. Feasibility is declared when the phase-one objective
-falls below `feas_tol`.
+and are dropped. Feasibility is declared when the artificial levels
+left after phase one sum to at most `_FEAS_TOL`.
 
 The solver exists so the occupation-measure program has an independent
 code path from the convex-hull construction it is checked against; the
@@ -23,10 +23,15 @@ from .model import NumericalFailure
 
 # Reduced costs within _RC_TOL of zero count as zero; pivots smaller
 # than _PIV_TOL are treated as structurally zero; rhs entries smaller
-# than _RHS_TOL are rounding noise from degenerate pivots.
+# than _RHS_TOL are rounding noise from degenerate pivots. Phase one
+# is feasible when the artificials left sum to at most _FEAS_TOL. The
+# returned point may dip below zero by at most _AUDIT_TOL and miss the
+# original constraints by at most _AUDIT_TOL * (1 + largest |rhs|).
 _RC_TOL = 1e-10
 _PIV_TOL = 1e-11
 _RHS_TOL = 1e-13
+_FEAS_TOL = 1e-9
+_AUDIT_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -91,15 +96,7 @@ def _bland_min(T: np.ndarray, basis: np.ndarray, max_iter: int) -> str:
     raise NumericalFailure("simplex iteration limit exceeded")
 
 
-def solve_simplex(
-    c,
-    A_eq=None,
-    b_eq=None,
-    A_ub=None,
-    b_ub=None,
-    feas_tol: float = 1e-9,
-    max_iter: int | None = None,
-) -> SimplexResult:
+def solve_simplex(c, A_eq=None, b_eq=None, A_ub=None, b_ub=None) -> SimplexResult:
     """min c.x subject to A_eq x = b_eq, A_ub x <= b_ub, x >= 0."""
     c = np.asarray(c, dtype=float)
     n = c.size
@@ -127,8 +124,7 @@ def solve_simplex(
     b[neg] *= -1.0
 
     m, n_tot = A.shape
-    if max_iter is None:
-        max_iter = 200 * (m + n_tot + 10)
+    max_iter = 200 * (m + n_tot + 10)
 
     # Phase one: artificial basis, minimize the sum of artificials.
     T = np.zeros((m + 1, n_tot + m + 1))
@@ -145,7 +141,7 @@ def solve_simplex(
     # the objective row accumulates rounding drift, so judge feasibility
     # by the artificial levels actually left in the basis
     phase1 = sum(max(r, 0.0) for r, j in zip(T[:m, -1].tolist(), basis.tolist()) if j >= n_tot)
-    if phase1 > feas_tol:
+    if phase1 > _FEAS_TOL:
         return SimplexResult("infeasible", None, None)
 
     # Drive artificials out of the basis; a row with no real pivot
@@ -207,16 +203,15 @@ def solve_simplex(
 
     # audit against the original constraints; tableau arithmetic can
     # decay silently and a wrong "optimum" is worse than an error
-    audit_tol = max(feas_tol, 1e-8)
-    if x.min() < -audit_tol:
+    if x.min() < -_AUDIT_TOL:
         raise NumericalFailure(f"simplex solution has negative entry {x.min():.3e}")
     if A_eq is not None:
         resid = float(np.max(np.abs(A_eq @ x[:n] - b_eq)))
-        if resid > audit_tol * (1.0 + float(np.abs(b_eq).max())):
+        if resid > _AUDIT_TOL * (1.0 + float(np.abs(b_eq).max())):
             raise NumericalFailure(f"simplex equality residual {resid:.3e}")
     if A_ub is not None:
         excess = float(np.max(A_ub @ x[:n] - b_ub))
-        if excess > audit_tol * (1.0 + float(np.abs(b_ub).max())):
+        if excess > _AUDIT_TOL * (1.0 + float(np.abs(b_ub).max())):
             raise NumericalFailure(f"simplex inequality excess {excess:.3e}")
     value = float(c @ x[:n])
     return SimplexResult("optimal", x[:n], value)

@@ -5,6 +5,8 @@ Reference numbers were frozen from an exact fraction-arithmetic solve of
 the balance equations, then rounded once to double precision.
 """
 
+import collections
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -70,6 +72,39 @@ def test_communicating_classes_partition():
     )
     classes = {tuple(c): rec for c, rec in communicating_classes(P)}
     assert classes == {(0, 1): True, (2,): False, (3,): True}
+
+
+def _classes_by_search(P):
+    """The classes by definition: breadth-first reachability per state,
+    classes as mutually reachable sets, recurrence as closure, listed
+    by smallest member."""
+    n = len(P)
+    reach = []
+    for i in range(n):
+        seen, queue = {i}, collections.deque([i])
+        while queue:
+            v = queue.popleft()
+            for u in range(n):
+                if P[v][u] > 0 and u not in seen:
+                    seen.add(u)
+                    queue.append(u)
+        reach.append(seen)
+    classes = []
+    for i in range(n):
+        members = [j for j in range(n) if j in reach[i] and i in reach[j]]
+        if members[0] == i:
+            classes.append((members, reach[i] == set(members)))
+    return classes
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 40), degree=st.floats(0.0, 3.0), seed=st.integers(0, 2**32 - 1))
+def test_communicating_classes_match_definition(n, degree, seed):
+    # about `degree` edges per state keeps the supports sparse enough
+    # for many classes, transient and recurrent, at every size
+    rng = np.random.default_rng(seed)
+    P = rng.random((n, n)) * (rng.random((n, n)) < degree / n)
+    assert communicating_classes(P) == _classes_by_search(P.tolist())
 
 
 def test_threshold_policy_shape():

@@ -265,10 +265,17 @@ def test_x_marginal_matches_ybar_row(spec, lam, data):
 
 def test_load_spec_round_trip(config_path, spec5):
     spec = load_spec(config_path)
-    assert spec.n_s == spec5.n_s
-    np.testing.assert_array_equal(spec.mu, spec5.mu)
-    np.testing.assert_array_equal(spec.rho_up, spec5.rho_up)
-    np.testing.assert_array_equal(spec.rho_down, spec5.rho_down)
+    assert spec == spec5 and hash(spec) == hash(spec5)
+    assert {spec5: "example"}[spec] == "example"
+    assert pickle.loads(pickle.dumps(spec)) == spec5
+    mu = spec5.mu.copy()
+    mu[2] += 0.01
+    assert spec != ServerSpec(spec5.n_s, mu, spec5.rho_up, spec5.rho_down)
+    assert spec != "example1"
+    up = spec5.rho_up.copy()
+    up[-1] = -0.0  # a signed-zero boundary is accepted and equals the default
+    signed = ServerSpec(spec5.n_s, spec5.mu, up, spec5.rho_down)
+    assert signed == spec5 and hash(signed) == hash(spec5)
 
 
 def test_load_spec_errors(tmp_path):

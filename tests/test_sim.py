@@ -1,6 +1,7 @@
 """Monte-Carlo simulator and the two stationary oracles: queue-capped and QBD."""
 
 import hashlib
+import re
 import tracemalloc
 
 import numpy as np
@@ -73,6 +74,20 @@ def test_sim_config_validation():
         SimConfig(horizon=100, burn_in=100)
     with pytest.raises(ValueError):
         SimConfig(horizon=100, replications=0)
+
+
+@pytest.mark.parametrize(
+    "state",
+    [SystemState(1, B, 0), SystemState(1, A, -3), SystemState(0, A, 0), SystemState(6, A, 1), SystemState(9, B, 2)],
+)
+@pytest.mark.parametrize("run", ["simulate", "hitting_time_stats"])
+def test_rejects_a_start_or_target_that_is_not_a_state(spec5, state, run):
+    cfg = SimConfig(horizon=1000, initial_state=state)
+    with pytest.raises(ValueError, match=re.escape(f"({state.s}, {state.w}, {state.q}) is not a state for n_s=5")):
+        if run == "simulate":
+            simulate(spec5, 0.15, _theta5(), cfg)
+        else:
+            hitting_time_stats(spec5, 0.15, _theta5(), state, cfg)
 
 
 def test_simulation_is_reproducible(spec5):
