@@ -32,12 +32,14 @@ class OccupationMeasure:
     """Stationary state-action frequencies.
 
     Indexed pairs are (s,A,Work), (s,A,Rest), (s,B,Work); the busy
-    states admit no Rest. Arrays are indexed by s-1.
+    states admit no Rest. Arrays are indexed by s-1. floor is the eps
+    the LP held the work share at (1, A) to, 0 for no floor.
     """
 
     work_a: np.ndarray
     rest_a: np.ndarray
     work_b: np.ndarray
+    floor: float = 0.0
 
     @property
     def n_s(self) -> int:
@@ -139,16 +141,18 @@ def solve_lp(spec: ServerSpec, nu_bar: float, eps: float) -> LpResult:
     x = np.clip(res.x, 0.0, None)
     if k > 0.0:
         x[iw[0]] += k * x[ir[0]]
-    measure = OccupationMeasure(work_a=x[iw].copy(), rest_a=x[ir].copy(), work_b=x[ib].copy())
+    measure = OccupationMeasure(work_a=x[iw].copy(), rest_a=x[ir].copy(), work_b=x[ib].copy(), floor=eps)
     return LpResult(value=float(x[iw].sum() + x[ib].sum()), measure=measure, feasible=True)
 
 
 def policy_from_occupation(l: OccupationMeasure) -> PolicyY:
-    """phi(y) = work mass / total mass where rest carries mass, else 1."""
-    wp = np.ones(l.n_s)
-    for i in range(l.n_s):
-        if l.rest_a[i] > 0.0:
-            wp[i] = l.work_a[i] / (l.work_a[i] + l.rest_a[i])
+    """phi(y) = work mass / total mass where rest carries mass, else 1.
+
+    The share at (1, A) is kept at or above the measure's floor: where
+    the LP holds it at exactly eps, the division can round just below.
+    """
+    wp = np.divide(l.work_a, l.work_a + l.rest_a, out=np.ones(l.n_s), where=l.rest_a > 0.0)
+    wp[0] = max(wp[0], l.floor)
     return PolicyY(wp)
 
 

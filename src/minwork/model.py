@@ -7,7 +7,9 @@ Availability w is A (free to choose) or B (a task is in service and,
 being non-preemptive, must be finished). The full chain X tracks
 (s, w, q) with Bernoulli(lam) arrivals; the reduced chain Ybar tracks
 (s, w) only and moves exactly like X's server component whenever the
-queue is nonempty.
+queue is nonempty. A PolicyY gives work probabilities on the reduced
+space; a PolicyX gives them on the full space as a table indexed by
+queue level, and a lifted policy is its two-row case.
 
 State order for all vectors/matrices over the reduced space: (s, A) for
 s = 1..n_s, then (s, B) for s = 1..n_s. This order is part of the
@@ -183,27 +185,48 @@ class PolicyY:
 
 @dataclass(frozen=True)
 class PolicyX:
-    """Policy on the full space obtained by lifting a reduced policy:
-    rest whenever the queue is empty, otherwise act as the base policy.
+    """Queue-aware policy on the full space.
+
+    table[min(q, L), w, s-1] is the work probability at (s, w, q), with
+    L = table.shape[0] - 1, so the last row holds for every q >= L. Row
+    0 must rest at the available states (an empty queue has nothing to
+    serve) and the busy rows for q >= 1 must work (non-preemption). The
+    table is a read-only copy. A lifted policy (synthesis.lift_policy)
+    has two rows: rest on an empty queue, otherwise act as its base.
     """
 
-    base: PolicyY
+    table: np.ndarray
+
+    def __post_init__(self):
+        t = np.array(self.table, dtype=float)
+        if t.ndim != 3 or t.shape[0] < 2 or t.shape[1] != 2 or t.shape[2] < 1:
+            raise ValueError("table must have shape (L+1, 2, n_s) with L >= 1 and n_s >= 1")
+        if not np.all((t >= 0.0) & (t <= 1.0)):
+            raise ValueError("work probabilities must lie in [0, 1]")
+        if np.any(t[0, 0] != 0.0):
+            raise ValueError("empty-queue rows must rest")
+        if np.any(t[1:, 1] != 1.0):
+            raise ValueError("busy rows must work")
+        t.setflags(write=False)
+        object.__setattr__(self, "table", t)
+
+    @property
+    def base(self) -> PolicyY:
+        """The reduced policy a lifted policy acts as at q >= 1; raises
+        ValueError when the work probabilities change with q >= 1."""
+        if self.table.shape[0] != 2:
+            raise ValueError(
+                f"not a lifted policy: its {self.table.shape[0]} table rows make the work "
+                "probabilities change with q >= 1"
+            )
+        return PolicyY(self.table[1, 0])
+
+    def levels(self, q_max: int) -> np.ndarray:
+        """The table expanded to one row per queue level q = 0..q_max."""
+        return self.table[np.minimum(np.arange(q_max + 1), self.table.shape[0] - 1)]
 
     def work_prob(self, s: int, w: Availability, q: int) -> float:
-        if q == 0:
-            return 0.0
-        if w == Availability.B:
-            return 1.0
-        return float(self.base.work_prob[s - 1])
-
-    def policy_table(self) -> np.ndarray:
-        """Work probabilities as a (2, 2, n_s) array indexed
-        [min(q,1), w, s-1]; constant in q for q >= 1.
-        """
-        n = self.base.n_s
-        row0 = np.zeros((2, n))
-        row1 = np.stack([self.base.work_prob, np.ones(n)])
-        return np.stack([row0, row1])
+        return float(self.table[min(q, self.table.shape[0] - 1), int(w), s - 1])
 
 
 def y_index(n_s: int, s: int, w: Availability) -> int:

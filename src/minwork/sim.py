@@ -1,6 +1,10 @@
 """Monte-Carlo simulation of the full chain and two exact stationary
 oracles.
 
+Both oracles and the simulator take a model.PolicyX, the work
+probabilities table[min(q, L), w, s-1], and both oracles build the
+chain from the same per-level transition blocks, _level_blocks.
+
 The QBD oracle is the answer for lifted policies, whose work
 probabilities do not depend on q once q >= 1. Since q moves by at most
 one per step, their uncapped chain is a level-independent
@@ -12,8 +16,8 @@ conservation, balance, sign and normalization.
 The truncated oracle caps the queue at q_max and blocks arrivals at
 the cap, which keeps the kernel row-stochastic and biases utilization
 downward predictably; callers read the mass at the cap, tail_mass, to
-judge the cut. It takes any policy, so it solves queue-dependent
-tables and cross-checks the QBD oracle in the tests.
+judge the cut. It takes any table, so it solves queue-dependent
+policies and cross-checks the QBD oracle in the tests.
 
 The simulator draws four uniforms per step (action, completion,
 arrival, activity move) in a fixed order so that runs are bit-exact
@@ -37,6 +41,7 @@ from .frontier import NotStabilizableError
 from .model import (
     Availability,
     NumericalFailure,
+    PolicyX,
     ServerSpec,
     SystemState,
     _kernel_matrices,
@@ -48,37 +53,8 @@ FLOW_TOL = 1e-9  # |service rate - lam|
 QBD_BALANCE_TOL = 1e-12
 NORMALIZATION_TOL = 1e-10
 SIM_BLOCK = 4096  # steps of uniforms drawn at once; the stream is the same for any block size
-
-
-@dataclass(frozen=True)
-class TabularPolicyX:
-    """Queue-indexed work probabilities, mostly for tests.
-
-    table[min(q, L), w, s-1] with L = table.shape[0] - 1. Row 0 must
-    rest at available states (empty queue) and busy rows for q >= 1
-    must work (non-preemption).
-    """
-
-    table: np.ndarray
-
-    def __post_init__(self):
-        t = np.asarray(self.table, dtype=float)
-        if t.ndim != 3 or t.shape[0] < 2 or t.shape[1] != 2:
-            raise ValueError("table must have shape (q_levels+1, 2, n_s) with q_levels >= 1")
-        if np.any((t < 0.0) | (t > 1.0)):
-            raise ValueError("work probabilities must lie in [0, 1]")
-        if np.any(t[0, 0] != 0.0):
-            raise ValueError("empty-queue rows must rest")
-        if np.any(t[1:, 1] != 1.0):
-            raise ValueError("busy rows must work")
-        t.setflags(write=False)
-        object.__setattr__(self, "table", t)
-
-    def work_prob(self, s: int, w: Availability, q: int) -> float:
-        return float(self.table[min(q, self.table.shape[0] - 1), int(w), s - 1])
-
-    def policy_table(self) -> np.ndarray:
-        return self.table
+CAP_TAIL_TOL = 1e-10  # mass at the cap that truncated_stationary_auto accepts
+Q_CAP = 1 << 17  # largest cap truncated_stationary_auto tries
 
 
 @dataclass(frozen=True)
@@ -131,64 +107,59 @@ class TruncatedPMF:
         return out
 
 
-def _policy_levels(theta, n_s: int, q_max: int | None = None) -> np.ndarray:
-    """Work probabilities of theta indexed [q, w, s-1].
+def _level_blocks(spec: ServerSpec, lam, work: np.ndarray):
+    """Transition blocks of the full chain per queue level, as (up,
+    local, down), each of shape (levels, 2n_s, 2n_s) with rows indexed
+    by the source state and columns by the target state in the fixed
+    reduced order.
 
-    With q_max, one row per queue level q = 0..q_max; otherwise the
-    policy's own rows, the last of which holds for every larger q.
+    work holds the policy's work probabilities [level, w, s-1] at those
+    levels; lam is the arrival probability, one value for every level or
+    one per level. A state works with its probability (surely when
+    busy) and moves by the reduced kernels P_W, P_R: a completion lands
+    on (s', A) one level down, work without one on (s', B) and rest on
+    (s', A), each at the same level. An arrival lifts every move one
+    level. At level 0 the available states rest, so their rows of local
+    and up are the boundary blocks; the busy rows of level 0 belong to
+    no state.
     """
-    table = np.asarray(theta.policy_table(), dtype=float)
-    if table.ndim != 3 or table.shape[1:] != (2, n_s):
+    n = spec.n_s
+    p = np.array(work, dtype=float)
+    if p.shape[1:] != (2, n):
         raise ValueError("policy table does not match spec")
-    if q_max is None:
-        return table
-    return table[np.minimum(np.arange(q_max + 1), table.shape[0] - 1)]
-
-
-def _level_flows(spec: ServerSpec, work: np.ndarray):
-    """The kernel of the full chain without arrivals, as (done, busy,
-    idle, rest0).
-
-    At a queue level q >= 1 a reduced state works with the policy's
-    probability (surely when busy) and moves by the reduced kernels
-    P_W, P_R. That splits into three flows, each of shape
-    (levels, 2n_s, n_s) with rows indexed by the source state: done,
-    completion to (s', A) one level down; busy, work without completion
-    to (s', B); idle, rest to (s', A). work holds the policy's work
-    probabilities [level, w, s-1] at those levels. An empty queue rests,
-    so level 0 moves by rest0 = P_R restricted to available states.
-    """
-    n = spec.n_s
-    pw, pr = _kernel_matrices(spec)
-    p = np.array(work, dtype=float).reshape(-1, 2 * n, 1)
+    p = p.reshape(-1, 2 * n, 1)
     p[:, n:] = 1.0
-    return p * pw[:, :n], p * pw[:, n:], (1.0 - p) * pr[:, :n], pr[:n, :n]
+    pw, pr = _kernel_matrices(spec)
+    done, busy, idle = p * pw[:, :n], p * pw[:, n:], (1.0 - p) * pr[:, :n]
+    arr = np.reshape(lam, (-1, 1, 1))
+    stay = 1.0 - arr
+    up = np.concatenate([idle * arr, busy * arr], axis=2)
+    local = np.concatenate([done * arr + idle * stay, busy * stay], axis=2)
+    down = np.concatenate([done * stay, np.zeros_like(done)], axis=2)
+    return up, local, down
 
 
-def _capped_chain(spec: ServerSpec, lam: float, theta, q_max: int):
+def _capped_chain(spec: ServerSpec, lam: float, theta: PolicyX, q_max: int):
     """Transition matrix of the queue-capped chain as COO triplets
-    (rows, cols, vals), zeros dropped, in the TruncatedPMF state order.
-
-    The flows of _level_flows move each state within a level or, by a
-    completion, one level down. An arrival, w.p. lam and never at
-    q_max, lifts each flow one level.
+    (rows, cols, vals), zeros dropped, in the TruncatedPMF state order:
+    the blocks of _level_blocks at levels 0..q_max, with no arrivals at
+    q_max.
     """
     n = spec.n_s
-    done, busy, idle, rest0 = _level_flows(spec, _policy_levels(theta, n, q_max)[1:])
-    arr = np.full((q_max, 1, 1), lam)
+    arr = np.full(q_max + 1, lam)
     arr[-1] = 0.0
-    stay = 1.0 - arr
+    up, local, down = _level_blocks(spec, arr, theta.levels(q_max))
 
     q = np.arange(1, q_max + 1)[:, None, None]
     first = (2 * q - 1) * n  # index of (1, A, q)
     src = first + np.arange(2 * n)[:, None]
     col_a, col_y = np.arange(n), np.arange(2 * n)
     blocks = [  # (rows, cols, vals), broadcast against each other
-        (col_a[:, None], col_a, (1.0 - lam) * rest0),  # level 0, no arrival
-        (col_a[:, None], n + col_a, lam * rest0),  # level 0, arrival
-        (src, np.maximum(first - 2 * n, 0) + col_a, done * stay),  # one level down
-        (src, first + col_y, np.concatenate([done * arr + idle * stay, busy * stay], axis=2)),  # same level
-        (src[:-1], first[:-1] + 2 * n + col_y, np.concatenate([idle * arr, busy * arr], axis=2)[:-1]),  # one up
+        (col_a[:, None], col_a, local[0, :n, :n]),  # level 0, no arrival
+        (col_a[:, None], n + col_y, up[0, :n]),  # level 0, arrival
+        (src, np.maximum(first - 2 * n, 0) + col_a, down[1:, :, :n]),  # one level down
+        (src, first + col_y, local[1:]),  # same level
+        (src[:-1], first[:-1] + 2 * n + col_y, up[1:-1]),  # one up
     ]
     triplets = [np.broadcast_arrays(*block) for block in blocks]
     rows, cols, vals = (np.concatenate([t[i].ravel() for t in triplets]) for i in range(3))
@@ -196,13 +167,11 @@ def _capped_chain(spec: ServerSpec, lam: float, theta, q_max: int):
     return rows[keep], cols[keep], vals[keep]
 
 
-def truncated_stationary(spec: ServerSpec, lam: float, theta, q_max: int) -> TruncatedPMF:
+def truncated_stationary(spec: ServerSpec, lam: float, theta: PolicyX, q_max: int) -> TruncatedPMF:
     """Exact stationary PMF of the queue-capped chain under theta.
 
     Arrivals are suppressed at q = q_max; tail_mass, the mass at
-    q_max, tells the caller how much the cap cut. The policy is
-    consulted through theta.policy_table(); admissibility at q = 0 and
-    at busy states is enforced structurally.
+    q_max, tells the caller how much the cap cut.
     """
     if q_max < 2:
         raise ValueError("q_max must be at least 2")
@@ -261,38 +230,32 @@ def truncated_stationary(spec: ServerSpec, lam: float, theta, q_max: int) -> Tru
     return TruncatedPMF(n_s=n, q_max=q_max, probs=pi, tail_mass=tail, balance_residual=residual)
 
 
-def truncated_stationary_auto(
-    spec: ServerSpec,
-    lam: float,
-    theta,
-    q_max: int = 512,
-    tail_tol: float = 1e-10,
-    q_cap: int = 1 << 17,
-) -> TruncatedPMF:
-    """Double q_max until the tail mass drops below tail_tol."""
+def truncated_stationary_auto(spec: ServerSpec, lam: float, theta: PolicyX, q_max: int = 512) -> TruncatedPMF:
+    """Double q_max until the tail mass drops below CAP_TAIL_TOL, up to
+    Q_CAP."""
     q = q_max
     while True:
         pmf = truncated_stationary(spec, lam, theta, q)
-        if pmf.tail_mass < tail_tol:
+        if pmf.tail_mass < CAP_TAIL_TOL:
             return pmf
-        if q >= q_cap:
+        if q >= Q_CAP:
             raise NumericalFailure(
-                f"truncation cap q_cap={q_cap} ran out: tail mass {pmf.tail_mass:.3e} "
-                f"is still above tail_tol={tail_tol:g} at q_max={q}"
+                f"truncation cap q_cap={Q_CAP} ran out: tail mass {pmf.tail_mass:.3e} "
+                f"is still above tail_tol={CAP_TAIL_TOL:g} at q_max={q}"
             )
         q *= 2
 
 
-def truncated_utilization(pmf: TruncatedPMF, theta) -> float:
+def truncated_utilization(pmf: TruncatedPMF, theta: PolicyX) -> float:
     """Stationary probability of working: sum over states of
     pi(x) theta(x)."""
-    work = _policy_levels(theta, pmf.n_s, pmf.q_max)[1:]
+    work = theta.levels(pmf.q_max)[1:]
     return float(np.sum(pmf.probs[pmf.n_s :].reshape(work.shape) * work))
 
 
-def truncated_service_rate(spec: ServerSpec, pmf: TruncatedPMF, theta) -> float:
+def truncated_service_rate(spec: ServerSpec, pmf: TruncatedPMF, theta: PolicyX) -> float:
     """Stationary completions per step: sum of pi(x) theta(x) mu(s)."""
-    work = _policy_levels(theta, pmf.n_s, pmf.q_max)[1:]
+    work = theta.levels(pmf.q_max)[1:]
     return float(np.sum(pmf.probs[pmf.n_s :].reshape(work.shape) * work * spec.mu))
 
 
@@ -370,14 +333,14 @@ def _log_reduction(up: np.ndarray, local: np.ndarray, down: np.ndarray) -> np.nd
     )
 
 
-def qbd_stationary(spec: ServerSpec, lam: float, theta) -> QBDPMF:
+def qbd_stationary(spec: ServerSpec, lam: float, theta: PolicyX) -> QBDPMF:
     """Exact stationary law of the uncapped chain under a lifted policy.
 
     Level 0 has the n_s phases (s, A); each level q >= 1 the 2n_s
-    reduced states. The blocks come from _level_flows: up = lam [idle |
-    busy], local = [(1-lam) idle + lam done | (1-lam) busy] and down =
-    (1-lam) [done | 0] between levels q >= 1, and the boundary blocks
-    B00 = (1-lam) rest0, B01 = lam [rest0 | 0], B10 = (1-lam) done.
+    reduced states. _level_blocks at the policy's two table rows gives
+    the blocks: up, local and down between levels q >= 1 are those of
+    level 1, and the boundary blocks are B00 = local and B01 = up at
+    level 0 and B10 = down at level 1, restricted to the (s, A) phases.
     With R = up (I - local - up G)^-1, (pi0, pi1) is the stationary law
     of the chain censored to levels 0 and 1, scaled so that
     pi0 1 + pi1 (I - R)^-1 1 = 1.
@@ -398,17 +361,12 @@ def qbd_stationary(spec: ServerSpec, lam: float, theta) -> QBDPMF:
     if not 0.0 < lam < 1.0:
         raise ValueError("lam must lie in (0, 1)")
     n = spec.n_s
-    table = _policy_levels(theta, n)
-    if table.shape[0] != 2:
-        raise ValueError("the QBD oracle needs a lifted policy: work probabilities may not change with q >= 1")
-    (done,), (busy,), (idle,), rest0 = _level_flows(spec, table[1])
-    up = lam * np.hstack([idle, busy])
-    local = np.hstack([(1.0 - lam) * idle + lam * done, (1.0 - lam) * busy])
-    down = (1.0 - lam) * np.hstack([done, np.zeros_like(done)])
-    b00 = (1.0 - lam) * rest0
-    b01 = lam * np.hstack([rest0, np.zeros_like(rest0)])
-    b10 = (1.0 - lam) * done
-    phases, served_at = up + local + down, done.sum(axis=1)
+    work = theta.base.full  # raises ValueError unless theta is lifted
+    mu = np.concatenate([spec.mu, spec.mu])
+    (b0_up, up), (b0_local, local), (_, down) = _level_blocks(spec, lam, theta.table)
+    b00, b01 = b0_local[:n, :n], b0_up[:n]
+    b10 = np.ascontiguousarray(down[:, :n])
+    phases, served_at = up + local + down, work * mu
     rate = max(
         stationary_pmf(phases[np.ix_(c, c)]) @ served_at[c]
         for c, recurrent in communicating_classes(phases)
@@ -436,8 +394,7 @@ def qbd_stationary(spec: ServerSpec, lam: float, theta) -> QBDPMF:
         raise NumericalFailure(f"QBD solve failed: {exc}") from exc
     pi0, pi1 = x[:n], x[n:]
     pi2 = pi1 @ R
-    work = np.concatenate([table[1, 0], np.ones(n)])
-    served = float(y_marg @ (work * np.concatenate([spec.mu, spec.mu])))
+    served = float(y_marg @ (work * mu))
     residual = max(  # balance at levels 0, 1 and 2; level q > 2 is level 2 times R^(q-2)
         np.abs(pi0 @ b00 + pi1 @ b10 - pi0).max(),
         np.abs(pi0 @ b01 + pi1 @ local + pi2 @ down - pi1).max(),
@@ -521,7 +478,7 @@ def _se(values: np.ndarray) -> float:
 def _replicate(
     spec: ServerSpec,
     lam: float,
-    table: np.ndarray,
+    theta: PolicyX,
     cfg: SimConfig,
     rep: int,
     start: SystemState,
@@ -553,8 +510,10 @@ def _replicate(
                 f"(s, w, q) = ({state.s}, {state.w}, {state.q}) is not a state for n_s={n}: "
                 "s must lie in 1..n_s, q >= 0, and q >= 1 when busy"
             )
-    levels = table.shape[0] - 1
-    tbl = table.tolist()
+    if theta.table.shape[2] != n:
+        raise ValueError("policy table does not match spec")
+    levels = theta.table.shape[0] - 1
+    tbl = theta.table.tolist()
     mu = spec.mu.tolist()
     r_up = spec.rho_up.tolist()
     r_dn = spec.rho_down.tolist()
@@ -622,7 +581,7 @@ def _replicate(
     return (works, done_count, empty, q_sum, q_max_seen, y_counts), gaps
 
 
-def simulate(spec: ServerSpec, lam: float, theta, cfg: SimConfig) -> SimResult:
+def simulate(spec: ServerSpec, lam: float, theta: PolicyX, cfg: SimConfig) -> SimResult:
     """Synchronous simulation of the full chain under theta.
 
     Per step, in order: action Bernoulli(theta(x)), completion
@@ -632,14 +591,13 @@ def simulate(spec: ServerSpec, lam: float, theta, cfg: SimConfig) -> SimResult:
     """
     if not 0.0 < lam < 1.0:
         raise ValueError("lam must lie in (0, 1)")
-    table = _policy_levels(theta, spec.n_s)
     counted = cfg.horizon - cfg.burn_in
     tallies = np.empty((cfg.replications, 5))
     y_counts_total = np.zeros(spec.n_y)
     trace_rows = [] if cfg.trace else None
     for rep in range(cfg.replications):
         (*totals, y_counts), _ = _replicate(
-            spec, lam, table, cfg, rep, cfg.initial_state, cfg.burn_in, trace_rows=trace_rows
+            spec, lam, theta, cfg, rep, cfg.initial_state, cfg.burn_in, trace_rows=trace_rows
         )
         tallies[rep] = totals
         y_counts_total += y_counts / counted
@@ -675,19 +633,20 @@ class HittingStats:
     max_time: int
 
 
-def hitting_time_stats(spec: ServerSpec, lam: float, theta, target: SystemState, cfg: SimConfig) -> HittingStats:
+def hitting_time_stats(
+    spec: ServerSpec, lam: float, theta: PolicyX, target: SystemState, cfg: SimConfig
+) -> HittingStats:
     """Mean empirical return time to the target state.
 
     Trajectories start at the target so successive visits are renewal
     cycles; burn-in is ignored. censored is set when some replication
     never returns within its horizon.
     """
-    table = _policy_levels(theta, spec.n_s)
     gaps = []
     censored = False
     for rep in range(cfg.replications):
         # burn-in spans the whole run: return times need no tallies
-        _, rep_gaps = _replicate(spec, lam, table, cfg, rep, target, cfg.horizon, target=target)
+        _, rep_gaps = _replicate(spec, lam, theta, cfg, rep, target, cfg.horizon, target=target)
         gaps += rep_gaps
         censored = censored or not rep_gaps
 

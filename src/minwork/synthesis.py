@@ -23,7 +23,7 @@ from .frontier import (
     solve_lp,
 )
 from .model import NumericalFailure, PolicyX, PolicyY, ServerSpec, ServerState
-from .sim import TruncatedPMF, _policy_levels, qbd_stationary
+from .sim import TruncatedPMF, qbd_stationary
 from .sim import truncated_stationary_auto  # noqa: F401 - bench/tracing.py wraps it under this module
 
 STABLE = "stable-irreducible-aperiodic"
@@ -79,15 +79,16 @@ class SynthesisResult:
 
 def lift_policy(phi: PolicyY) -> PolicyX:
     """Queue-aware policy that rests on an empty queue and otherwise
-    acts as phi."""
-    return PolicyX(base=phi)
+    acts as phi: the two-row table [rest; phi], whose base is phi."""
+    n = phi.n_s
+    return PolicyX(np.stack([np.zeros((2, n)), np.stack([phi.work_prob, np.ones(n)])]))
 
 
-def project_policy(theta, pi_x: TruncatedPMF) -> PolicyY:
+def project_policy(theta: PolicyX, pi_x: TruncatedPMF) -> PolicyY:
     """Occupation-weighted average of theta over the queue, per reduced
     state. Sums run over the truncated support including q = 0."""
     n = pi_x.n_s
-    work = _policy_levels(theta, n, pi_x.q_max)
+    work = theta.levels(pi_x.q_max)
     den = pi_x.y_totals()
     num = (work[1:] * pi_x.probs[n:].reshape(work[1:].shape)).sum(axis=0).reshape(-1)
     num[:n] += work[0, 0] * pi_x.probs[:n]
@@ -100,14 +101,15 @@ def project_policy(theta, pi_x: TruncatedPMF) -> PolicyY:
     return PolicyY(work_prob=np.clip(ratio[:n], 0.0, 1.0))
 
 
-def classify_stability(spec: ServerSpec, lam: float, theta) -> str:
+def classify_stability(spec: ServerSpec, lam: float, theta: PolicyX) -> str:
     """Sufficient-condition label for the lifted chain: stable,
     irreducible and aperiodic when the base policy works with positive
     probability at the lowest available state and out-serves the
-    arrival rate. The converse is not decided."""
-    base = getattr(theta, "base", None)
-    if base is None:
+    arrival rate. The converse is not decided; a policy that is not a
+    lifted PolicyX raises ValueError."""
+    if not isinstance(theta, PolicyX):
         raise ValueError("classification requires a lifted policy")
+    base = theta.base
     if base.in_phi_r_plus() and service_rate(spec, base) > lam:
         return STABLE
     return NOT_GUARANTEED

@@ -37,6 +37,8 @@ REFERENCE_NU = (0.0, 0.0347, 0.1993, 0.1947, 0.3000, 0.0500)
 REFERENCE_U = (0.0, 0.2383, 0.4309, 0.6316, 0.8571, 1.0000)
 REFERENCE_BREAKPOINTS = ((0.0, 0.0), (0.1993, 0.4309), (0.3000, 0.8571))
 TABLE_TOL = 5e-4
+DECOMPOSITION_POLICIES = 100  # random policies C7 decomposes
+SYNTHESIS_DELTA = 0.05  # the gap C9 synthesizes for
 
 
 @dataclass(frozen=True)
@@ -215,14 +217,14 @@ def _random_dagger_policy(rng, n_s: int) -> PolicyY:
     return PolicyY(work_prob=wp)
 
 
-def check_decomposition(spec: ServerSpec, seed: int = 0, count: int = 100) -> CheckResult:
+def check_decomposition(spec: ServerSpec, seed: int = 0) -> CheckResult:
     """Rates and stationary PMFs of almost-deterministic policies with
     a working lowest state match their threshold mixture."""
     name = "decomposition identities"
     rng = np.random.default_rng(seed)
     worst_rate = 0.0
     worst_pmf = 0.0
-    for _ in range(count):
+    for _ in range(DECOMPOSITION_POLICIES):
         phi = _random_dagger_policy(rng, spec.n_s)
         dec = decompose_dagger_policy(spec, phi)
         nu_mix, u_mix = dagger_rates(spec, dec)
@@ -238,7 +240,7 @@ def check_decomposition(spec: ServerSpec, seed: int = 0, count: int = 100) -> Ch
     return _result(
         "C7", name, ok,
         f"max rate error {worst_rate:.2e}, max PMF-split error {worst_pmf:.2e} "
-        f"over {count} random policies (tol 1e-09)",
+        f"over {DECOMPOSITION_POLICIES} random policies (tol 1e-09)",
         {"rate_err": worst_rate, "pmf_err": worst_pmf},
     )
 
@@ -268,10 +270,10 @@ def check_potential(spec: ServerSpec) -> CheckResult:
     )
 
 
-def check_synthesis(spec: ServerSpec, lam: float = 0.15, delta: float = 0.05) -> CheckResult:
+def check_synthesis(spec: ServerSpec, lam: float = 0.15) -> CheckResult:
     name = "synthesis end-to-end"
-    result = synthesize(spec, lam, delta)
-    target = frontier(spec)(lam) + delta
+    result = synthesize(spec, lam, SYNTHESIS_DELTA)
+    target = frontier(spec)(lam) + SYNTHESIS_DELTA
     label = classify_stability(spec, lam, result.policy)
     ok = (
         label == STABLE

@@ -164,6 +164,21 @@ def test_policy_from_occupation_rest_free_state():
     np.testing.assert_allclose(phi.work_prob, [1.0, 0.75])
 
 
+def test_policy_from_occupation_floors_the_share_at_eps(spec5):
+    # a floor-eps LP can hold the (1, A) share at exactly eps, and the
+    # division alone then rounds below it, outside Phi_R^eps
+    eps, rest = 0.1, 0.27051692705010644
+    work = eps / (1.0 - eps) * rest
+    assert work / (work + rest) < eps
+    m = OccupationMeasure(
+        work_a=np.array([work, 0.03125]), rest_a=np.array([rest, 0.96875]), work_b=np.array([0.2, 0.1]), floor=eps
+    )
+    phi = policy_from_occupation(m)
+    assert phi.work_prob.tolist() == [eps, 0.03125]  # the floor binds at (1, A) only
+    assert phi.in_phi_r_eps(eps)
+    assert solve_lp(spec5, 0.25, 1e-3).measure.floor == 1e-3
+
+
 def test_infimum_utilization(spec5):
     f = frontier(spec5)
     assert infimum_utilization(spec5, 0.15) == pytest.approx(f(0.15), abs=1e-12)

@@ -25,6 +25,7 @@ from minwork.model import (
     ybar_matrix,
     _kernel_matrices,
 )
+from minwork.synthesis import lift_policy
 
 A, B = Availability.A, Availability.B
 WORK, REST = Action.WORK, Action.REST
@@ -203,13 +204,45 @@ def test_policy_validation():
     assert phi.in_phi_r_plus()
     assert phi.in_phi_r_eps(0.25) and not phi.in_phi_r_eps(0.3)
 
-    theta = PolicyX(base=phi)
+    theta = lift_policy(phi)
     assert theta.work_prob(1, A, 0) == 0.0
     assert theta.work_prob(1, B, 4) == 1.0
     assert theta.work_prob(1, A, 4) == 0.25
-    tbl = theta.policy_table()
+    tbl = theta.table
     assert tbl.shape == (2, 2, 2)
     np.testing.assert_array_equal(tbl[0], 0.0)
+
+
+def test_policy_x_validation():
+    good = np.zeros((3, 2, 2))
+    good[1:, 1] = 1.0
+    good[1, 0] = [0.5, 0.25]
+    good[2, 0] = [1.0, 0.0]
+    pol = PolicyX(good)
+    assert pol.work_prob(1, A, 0) == 0.0
+    assert pol.work_prob(1, A, 1) == 0.5
+    assert pol.work_prob(1, A, 7) == 1.0  # clamped to the last level
+    np.testing.assert_array_equal(pol.levels(4)[3:], [good[2], good[2]])
+    good[2, 0, 0] = 0.0  # the policy keeps its own read-only copy
+    assert pol.work_prob(1, A, 7) == 1.0
+    with pytest.raises(ValueError):
+        pol.table[1, 0, 0] = 0.0
+
+    bad = good.copy()
+    bad[0, 0, 1] = 0.3  # must rest on an empty queue
+    with pytest.raises(ValueError, match="empty-queue rows must rest"):
+        PolicyX(bad)
+    bad = good.copy()
+    bad[2, 1, 0] = 0.9  # busy states must work
+    with pytest.raises(ValueError, match="busy rows must work"):
+        PolicyX(bad)
+    bad = good.copy()
+    bad[1, 0, 1] = np.nan
+    with pytest.raises(ValueError, match=r"lie in \[0, 1\]"):
+        PolicyX(bad)
+    for shape in ((2, 3, 2), (1, 2, 2), (2, 2, 0), (2, 2)):
+        with pytest.raises(ValueError, match="table must have shape"):
+            PolicyX(np.zeros(shape))
 
 
 @settings(max_examples=60, deadline=None)

@@ -23,7 +23,6 @@ from minwork.model import (
 )
 from minwork.sim import (
     SimConfig,
-    TabularPolicyX,
     TruncatedPMF,
     _capped_chain,
     hitting_time_stats,
@@ -44,26 +43,18 @@ def _theta5():
     return lift_policy(threshold_policy(5, 5))
 
 
-def test_tabular_policy_validation():
-    good = np.zeros((3, 2, 2))
-    good[1:, 1] = 1.0
-    good[1, 0] = [0.5, 0.25]
-    good[2, 0] = [1.0, 0.0]
-    pol = TabularPolicyX(good)
-    assert pol.work_prob(1, A, 0) == 0.0
-    assert pol.work_prob(1, A, 1) == 0.5
-    assert pol.work_prob(1, A, 7) == 1.0  # clamped to the last level
-
-    bad = good.copy()
-    bad[0, 0, 1] = 0.3  # must rest on an empty queue
-    with pytest.raises(ValueError):
-        TabularPolicyX(bad)
-    bad = good.copy()
-    bad[2, 1, 0] = 0.9  # busy states must work
-    with pytest.raises(ValueError):
-        TabularPolicyX(bad)
-    with pytest.raises(ValueError):
-        TabularPolicyX(np.zeros((2, 3, 2)))
+def test_rejects_a_policy_for_another_spec(spec5):
+    theta = lift_policy(threshold_policy(4, 3))
+    cfg = SimConfig(horizon=100)
+    runs = [
+        lambda: qbd_stationary(spec5, 0.15, theta),
+        lambda: truncated_stationary(spec5, 0.15, theta, 8),
+        lambda: simulate(spec5, 0.15, theta, cfg),
+        lambda: hitting_time_stats(spec5, 0.15, theta, SystemState(1, A, 0), cfg),
+    ]
+    for run in runs:
+        with pytest.raises(ValueError, match="policy table does not match spec"):
+            run()
 
 
 def test_sim_config_validation():
@@ -146,16 +137,15 @@ def test_truncated_stationary_invariants(spec5):
     assert pmf.mass(1, A, 0) > 0.0
 
 
-def test_truncated_auto_doubles_until_tail_clears(spec5):
-    pmf = truncated_stationary_auto(spec5, 0.15, _theta5(), q_max=64, tail_tol=1e-10)
+def test_truncated_auto_doubles_until_tail_clears(spec5, monkeypatch):
+    pmf = truncated_stationary_auto(spec5, 0.15, _theta5(), q_max=64)
     assert pmf.tail_mass < 1e-10
     assert pmf.q_max > 64  # 64 is far too small at this load
     cap_ran_out = r"truncation cap q_cap=256 ran out: tail mass .* above tail_tol=1e-10 at q_max=256"
+    monkeypatch.setattr(sim, "Q_CAP", 256)
     with pytest.raises(NumericalFailure, match=cap_ran_out):
         # an unstable policy cannot clear the tail no matter the cap
-        truncated_stationary_auto(
-            spec5, 0.15, lift_policy(threshold_policy(5, 2)), q_max=64, q_cap=256
-        )
+        truncated_stationary_auto(spec5, 0.15, lift_policy(threshold_policy(5, 2)), q_max=64)
 
 
 @settings(max_examples=60, deadline=None)
@@ -175,13 +165,13 @@ def test_capped_chain_matches_x_transition(data):
     lam = data.draw(unit)
     work = st.one_of(st.just(0.0), st.just(1.0), unit)
     if data.draw(st.booleans()):
-        theta = PolicyX(PolicyY(np.array(data.draw(st.lists(work, min_size=n, max_size=n)))))
+        theta = lift_policy(PolicyY(np.array(data.draw(st.lists(work, min_size=n, max_size=n)))))
     else:
         levels = data.draw(st.integers(1, 3))
         tbl = np.zeros((levels + 1, 2, n))
         tbl[1:, 1] = 1.0
         tbl[1:, 0] = np.reshape(data.draw(st.lists(work, min_size=levels * n, max_size=levels * n)), (levels, n))
-        theta = TabularPolicyX(tbl)
+        theta = PolicyX(tbl)
     q_max = data.draw(st.sampled_from([2, 3, 7]))
 
     size = n * (1 + 2 * q_max)
@@ -278,7 +268,7 @@ def test_qbd_rejects_queue_dependent_policy(spec5):
     tbl[1:, 1] = 1.0
     tbl[2, 0] = 1.0
     with pytest.raises(ValueError, match="lifted policy"):
-        qbd_stationary(spec5, 0.15, TabularPolicyX(tbl))
+        qbd_stationary(spec5, 0.15, PolicyX(tbl))
     with pytest.raises(ValueError):
         qbd_stationary(spec5, 1.0, _theta5())
 
@@ -320,7 +310,7 @@ def test_queue_dependent_policy_transient_band(spec5):
     tbl = np.zeros((4, 2, n))
     tbl[1:, 1] = 1.0
     tbl[3, 0] = [1.0, 1.0, 1.0, 1.0, 0.0]  # tau=5 profile, gated on the queue
-    lazy = TabularPolicyX(tbl)
+    lazy = PolicyX(tbl)
     pmf = truncated_stationary_auto(spec5, 0.1, lazy)
     assert truncated_service_rate(spec5, pmf, lazy) == pytest.approx(0.1, abs=1e-8)
     qm = pmf.queue_marginal()
@@ -413,7 +403,7 @@ def test_hitting_time_pinned_outputs(spec5):
     tbl[1:3, 0] = [0.5, 0.5, 0.5, 0.5, 0.0]
     tbl[3, 0] = [1.0, 1.0, 1.0, 1.0, 0.0]
     cfg = SimConfig(horizon=50000, replications=2, seed=5)
-    stats = hitting_time_stats(spec5, 0.15, TabularPolicyX(tbl), SystemState(3, A, 2), cfg)
+    stats = hitting_time_stats(spec5, 0.15, PolicyX(tbl), SystemState(3, A, 2), cfg)
     assert (stats.mean, stats.count, stats.censored, stats.min_time, stats.max_time) == (
         51.51006711409396, 1937, False, 1, 1461,
     )
@@ -455,7 +445,7 @@ def test_hitting_time_pinned_outputs_past_a_block(spec5):
     tbl[1:3, 0] = [0.5, 0.5, 0.5, 0.5, 0.0]
     tbl[3, 0] = [1.0, 1.0, 1.0, 1.0, 0.0]
     cfg = SimConfig(horizon=120_000, replications=2, seed=8)
-    stats = hitting_time_stats(spec5, 0.15, TabularPolicyX(tbl), SystemState(3, A, 2), cfg)
+    stats = hitting_time_stats(spec5, 0.15, PolicyX(tbl), SystemState(3, A, 2), cfg)
     assert (stats.mean, stats.count, stats.censored, stats.min_time, stats.max_time) == (
         52.92572944297082, 4524, False, 1, 1315,
     )
@@ -468,7 +458,7 @@ def test_outputs_do_not_depend_on_block_size(spec5, monkeypatch):
     tbl[1:, 1] = 1.0
     tbl[1, 0] = [0.5, 0.5, 0.5, 0.5, 0.0]
     tbl[2, 0] = [1.0, 1.0, 1.0, 1.0, 0.0]
-    tab = TabularPolicyX(tbl)
+    tab = PolicyX(tbl)
     empty = SystemState(1, A, 0)
     runs = [
         lambda: simulate(spec5, 0.2, _theta5(), SimConfig(9000, burn_in=4100, replications=2, seed=3, trace=True)),

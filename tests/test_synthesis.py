@@ -38,6 +38,18 @@ def test_lift_policy_table():
     assert theta.work_prob(1, 0, 0) == 0.0  # rest on empty queue
     assert theta.work_prob(1, 1, 3) == 1.0  # busy forces work
     assert theta.work_prob(1, 0, 3) == 0.4
+    assert theta.base.work_prob.tobytes() == phi.work_prob.tobytes()
+
+
+def test_queue_dependent_policy_has_no_base(spec5):
+    tbl = np.zeros((3, 2, 5))
+    tbl[1:, 1] = 1.0
+    tbl[2, 0] = 1.0
+    theta = PolicyX(tbl)
+    with pytest.raises(ValueError, match="not a lifted policy"):
+        theta.base
+    with pytest.raises(ValueError, match="not a lifted policy"):
+        classify_stability(spec5, 0.15, theta)
 
 
 def test_projection_recovers_base_without_empty_mass():
