@@ -162,6 +162,15 @@ class PolicyY:
         wp.setflags(write=False)
         object.__setattr__(self, "work_prob", wp)
 
+    # Policies compare and hash by value, as ServerSpec does.
+    def __eq__(self, other):
+        if not isinstance(other, PolicyY):
+            return NotImplemented
+        return np.array_equal(self.work_prob, other.work_prob)
+
+    def __hash__(self):
+        return hash(tuple(self.work_prob.tolist()))
+
     @property
     def n_s(self) -> int:
         return self.work_prob.size
@@ -209,6 +218,14 @@ class PolicyX:
             raise ValueError("busy rows must work")
         t.setflags(write=False)
         object.__setattr__(self, "table", t)
+
+    def __eq__(self, other):
+        if not isinstance(other, PolicyX):
+            return NotImplemented
+        return np.array_equal(self.table, other.table)
+
+    def __hash__(self):
+        return hash((self.table.shape, tuple(self.table.ravel().tolist())))
 
     @property
     def base(self) -> PolicyY:

@@ -23,7 +23,11 @@ The simulator draws four uniforms per step (action, completion,
 arrival, activity move) in a fixed order so that runs are bit-exact
 reproducible regardless of the path taken. It draws them in blocks of
 SIM_BLOCK steps; the Philox stream does not depend on the block size,
-so neither do the results.
+so neither do the results. Each event happens when its uniform is below
+a threshold: a work probability, mu(s), rho_up(s) or rho_down(s), or
+lam. numpy ranks each block's uniforms among the sorted distinct
+thresholds, which makes exactly those comparisons, and the step loop
+then moves the state by two table lookups on the ranks (_step_tables).
 """
 
 from __future__ import annotations
@@ -475,10 +479,81 @@ def _se(values: np.ndarray) -> float:
     return float(values.std(ddof=1) / np.sqrt(values.size))
 
 
+def _check_states(spec: ServerSpec, theta: PolicyX, *states: SystemState) -> None:
+    """Raise ValueError unless each state is a state of the chain and
+    theta's table matches spec."""
+    n = spec.n_s
+    for state in states:
+        # a busy server holds the job in service, so q >= 1 when w = B
+        if not (1 <= state.s <= n and state.w in (0, 1) and state.q >= state.w):
+            raise ValueError(
+                f"(s, w, q) = ({state.s}, {state.w}, {state.q}) is not a state for n_s={n}: "
+                "s must lie in 1..n_s, q >= 0, and q >= 1 when busy"
+            )
+    if theta.table.shape[2] != n:
+        raise ValueError("policy table does not match spec")
+
+
+@dataclass(frozen=True)
+class _StepTables:
+    """The step loop's tables for one spec, policy and block size.
+
+    The state is x = (q - base) 2 n_s + w n_s + s - 1 for a base level
+    the loop picks per block. Per step, the symbol a combines the ranks
+    of the action and completion uniforms, a = (rank in act) (done.size
+    + 1) + (rank in done), and b those of the move and arrival
+    uniforms, b = 2 (rank in move) + arrival. The rank of u counts the
+    thresholds t <= u, so u < t[j] exactly when the rank is <= j.
+    rows[x][a] is the outcome row of the step: rest, work, or work with
+    a completion, at (w, s), one of 6 n_s; its entry b is the change of
+    x. rows covers 2 block + L + 1 levels: levels 0..L-1 their own, the
+    rest the one list of rows of level L, which holds for every q >= L.
+    """
+
+    n_s: int
+    levels: int  # L: the table's last row holds for every q >= L
+    block: int
+    act: np.ndarray
+    done: np.ndarray
+    move: np.ndarray
+    rows: list
+
+
+def _step_tables(spec: ServerSpec, theta: PolicyX, block: int) -> _StepTables:
+    n, L = spec.n_s, theta.table.shape[0] - 1
+    act, done = np.unique(theta.table), np.unique(spec.mu)
+    move = np.unique(np.concatenate([spec.rho_up, spec.rho_down]))
+    j_up, j_down = (np.searchsorted(move, rho).tolist() for rho in (spec.rho_up, spec.rho_down))
+    # the change of x per outcome row (o, w, s), o = 0 rest, 1 work, 2 work
+    # with a completion, and per b = 2 (move rank) + arrival
+    outcome_rows = [
+        [
+            (arrival - (o == 2)) * 2 * n + ((o == 1) - w) * n + ((r <= j_up[s]) if o else -(r <= j_down[s]))
+            for r in range(move.size + 1)
+            for arrival in (0, 1)
+        ]
+        for o in range(3)
+        for w in range(2)
+        for s in range(n)
+    ]
+
+    # per level 0..L, w and s: the outcome row per (action rank, completion rank)
+    n_done = done.size + 1
+    completes = (np.arange(n_done) <= np.searchsorted(done, spec.mu)[:, None]).tolist()  # [s][rank]
+    level_rows = []
+    for (_, w, s), j in np.ndenumerate(np.searchsorted(act, theta.table)):
+        rest, work, work_done = (outcome_rows[(o * 2 + w) * n + s] for o in range(3))
+        worked = [work_done if c else work for c in completes[s]]
+        level_rows.append(worked * (j + 1) + [rest] * ((act.size - j) * n_done))
+    top = level_rows[2 * n * L :]
+    for _ in range(2 * block):  # one extension at a time keeps the peak low
+        level_rows += top
+    return _StepTables(n, L, block, act, done, move, level_rows)
+
+
 def _replicate(
-    spec: ServerSpec,
+    tables: _StepTables,
     lam: float,
-    theta: PolicyX,
     cfg: SimConfig,
     rep: int,
     start: SystemState,
@@ -489,95 +564,68 @@ def _replicate(
     """Replication rep of cfg from start: the step loop of both
     simulators.
 
-    Each block of up to SIM_BLOCK steps draws its uniforms at once. Per
-    step the loop only moves the state, with s 0-based, and records
-    3 s + outcome: 0 rest, 1 work, 2 work with a completion. After the
-    block, numpy rebuilds each step's state from the codes and the
-    arrival column: w is the previous step's outcome and q the carried q
-    plus the arrivals minus the completions so far.
+    Each block of up to tables.block steps draws its uniforms at once
+    and ranks them into the symbols a and b, so the loop only sets
+    x += rows[x][a][b] and records x per step. The block's base is its
+    start level less block + L, or 0, so its rows cover every level
+    the block can reach. After the block, numpy rebuilds each step's
+    (s, w, q) from the recorded x, and its completion as the arrival
+    less the change of q.
 
     Returns the tallies over steps k >= burn as (works, completions,
     empty-queue steps, queue sum, queue max, visits per reduced state at
     q >= 1), and the gaps between successive visits to target, one
-    integer array per block with a visit. With trace_rows, appends one (steps, 7) array per
-    block of rows (k, s, w, q, work, arrival, completion).
+    integer array per block with a visit. With trace_rows, appends one
+    (steps, 7) array per block of rows (k, s, w, q, work, arrival,
+    completion).
     """
-    n = spec.n_s
-    for state in (start, target):
-        # a busy server holds the job in service, so q >= 1 when w = B
-        if state is not None and not (1 <= state.s <= n and state.w in (0, 1) and state.q >= state.w):
-            raise ValueError(
-                f"(s, w, q) = ({state.s}, {state.w}, {state.q}) is not a state for n_s={n}: "
-                "s must lie in 1..n_s, q >= 0, and q >= 1 when busy"
-            )
-    if theta.table.shape[2] != n:
-        raise ValueError("policy table does not match spec")
-    levels = theta.table.shape[0] - 1
-    tbl = theta.table.tolist()
-    mu = spec.mu.tolist()
-    r_up = spec.rho_up.tolist()
-    r_dn = spec.rho_down.tolist()
+    n, L, block, rows = tables.n_s, tables.levels, tables.block, tables.rows
+    n2, n_done = 2 * n, tables.done.size + 1
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(cfg.seed, spawn_key=(rep,))))
-    s, w, q = start.s - 1, int(start.w), start.q
+    q, r = start.q, int(start.w) * n + start.s - 1  # r = w n + s - 1, the reduced state
     works = done_count = empty = q_sum = q_max_seen = 0
-    y_counts = np.zeros(2 * n, dtype=np.int64)
+    y_counts = np.zeros(n2, dtype=np.int64)
     gaps = []
     last = 0
-    for k0 in range(0, cfg.horizon, SIM_BLOCK):
-        u = rng.random((min(SIM_BLOCK, cfg.horizon - k0), 4))
-        w0, q0 = w, q
-        u_act, u_done, _, u_move = u.T.tolist()
+    for k0 in range(0, cfg.horizon, block):
+        u = rng.random((min(block, cfg.horizon - k0), 4))
         arrival = u[:, 2] < lam
-        codes = []
-        record = codes.append
-        for act, comp, arr, move in zip(u_act, u_done, arrival.tolist(), u_move):
-            if act < tbl[q if q < levels else levels][w][s]:
-                if comp < mu[s]:
-                    record(3 * s + 2)
-                    q -= 1
-                    w = 0
-                else:
-                    record(3 * s + 1)
-                    w = 1
-                if move < r_up[s]:
-                    s += 1
-            else:
-                record(3 * s)
-                w = 0
-                if move < r_dn[s]:
-                    s -= 1
-            if arr:
-                q += 1
-
-        code = np.array(codes, dtype=np.int64)
-        outcome = code % 3
-        done = outcome == 2
-        q_next = q0 + np.cumsum(arrival.astype(np.int64) - done)
-        w_next = outcome == 1
-        s_now = code // 3
-        w_now = np.concatenate(([w0], w_next[:-1]))
-        q_now = np.concatenate(([q0], q_next[:-1]))
+        sym_a = np.searchsorted(tables.act, u[:, 0], "right") * n_done + np.searchsorted(tables.done, u[:, 1], "right")
+        sym_b = np.searchsorted(tables.move, u[:, 3], "right") * 2 + arrival
+        base = max(q - block - L, 0)
+        x = (q - base) * n2 + r
+        xs = [x := x + rows[x][a][b] for a, b in zip(sym_a.tolist(), sym_b.tolist())]
+        x_next = np.fromiter(xs, np.int64, len(xs))
+        q0, r0 = q, r
+        q, r = divmod(xs[-1], n2)
+        q += base
         i = max(burn - k0, 0)
-        if i < code.size:
+        if i < x_next.size or trace_rows is not None:
+            q_next, r_next = np.divmod(x_next, n2)
+            q_next += base
+            q_now = np.concatenate(([q0], q_next[:-1]))
+            r_now = np.concatenate(([r0], r_next[:-1]))
+            done = arrival - (q_next - q_now)  # 1 at a completion
+            work = (r_next >= n) | (done > 0)  # busy next, or done
+        if i < x_next.size:
             qc = q_now[i:]
             busy = qc > 0
-            works += int(np.count_nonzero(outcome[i:]))
+            works += int(np.count_nonzero(work[i:]))
             done_count += int(np.count_nonzero(done[i:]))
             empty += qc.size - int(np.count_nonzero(busy))
             q_sum += int(qc.sum())
             q_max_seen = max(q_max_seen, int(qc.max()))
-            y_counts += np.bincount((w_now[i:] * n + s_now[i:])[busy], minlength=2 * n)
+            y_counts += np.bincount(r_now[i:][busy], minlength=n2)
         if target is not None:
-            s_next = np.append(s_now[1:], s)
-            hit = (s_next == target.s - 1) & (w_next == int(target.w)) & (q_next == target.q)
+            hit = x_next == (target.q - base) * n2 + int(target.w) * n + target.s - 1
             times = k0 + 1 + np.flatnonzero(hit)
             if times.size:
                 gaps.append(np.diff(times, prepend=last))
                 last = int(times[-1])
         if trace_rows is not None:
-            k = np.arange(k0, k0 + code.size)
-            rows = np.column_stack((k, s_now + 1, w_now, q_now, outcome > 0, arrival, done))
-            trace_rows.append(rows.astype(np.int64))
+            k = np.arange(k0, k0 + x_next.size)
+            w_now, s_now = np.divmod(r_now, n)
+            trace_rows.append(np.column_stack((k, s_now + 1, w_now, q_now, work, arrival, done)).astype(np.int64))
     return (works, done_count, empty, q_sum, q_max_seen, y_counts), gaps
 
 
@@ -591,13 +639,15 @@ def simulate(spec: ServerSpec, lam: float, theta: PolicyX, cfg: SimConfig) -> Si
     """
     if not 0.0 < lam < 1.0:
         raise ValueError("lam must lie in (0, 1)")
+    _check_states(spec, theta, cfg.initial_state)
+    tables = _step_tables(spec, theta, min(SIM_BLOCK, cfg.horizon))
     counted = cfg.horizon - cfg.burn_in
     tallies = np.empty((cfg.replications, 5))
     y_counts_total = np.zeros(spec.n_y)
     trace_rows = [] if cfg.trace else None
     for rep in range(cfg.replications):
         (*totals, y_counts), _ = _replicate(
-            spec, lam, theta, cfg, rep, cfg.initial_state, cfg.burn_in, trace_rows=trace_rows
+            tables, lam, cfg, rep, cfg.initial_state, cfg.burn_in, trace_rows=trace_rows
         )
         tallies[rep] = totals
         y_counts_total += y_counts / counted
@@ -642,11 +692,13 @@ def hitting_time_stats(
     cycles; burn-in is ignored. censored is set when some replication
     never returns within its horizon.
     """
+    _check_states(spec, theta, target)
+    tables = _step_tables(spec, theta, min(SIM_BLOCK, cfg.horizon))
     gaps = []
     censored = False
     for rep in range(cfg.replications):
         # burn-in spans the whole run: return times need no tallies
-        _, rep_gaps = _replicate(spec, lam, theta, cfg, rep, target, cfg.horizon, target=target)
+        _, rep_gaps = _replicate(tables, lam, cfg, rep, target, cfg.horizon, target=target)
         gaps += rep_gaps
         censored = censored or not rep_gaps
 

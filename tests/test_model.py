@@ -245,6 +245,25 @@ def test_policy_x_validation():
             PolicyX(np.zeros(shape))
 
 
+def test_policies_compare_and_hash_by_value():
+    phi = PolicyY(np.array([0.5, 0.25]))
+    same = PolicyY([0.5, 0.25])
+    assert phi == same and hash(phi) == hash(same)
+    assert phi != PolicyY(np.array([0.5, 0.3]))
+    assert phi != PolicyY(np.array([0.5, 0.25, 1.0]))
+    assert PolicyY(np.array([-0.0, 1.0])) == PolicyY(np.array([0.0, 1.0]))
+    assert hash(PolicyY(np.array([-0.0, 1.0]))) == hash(PolicyY(np.array([0.0, 1.0])))
+    assert phi != phi.work_prob.tolist()
+
+    theta = lift_policy(phi)
+    assert theta == lift_policy(same) and hash(theta) == hash(lift_policy(same))
+    assert {theta: "lifted"}[lift_policy(same)] == "lifted"
+    assert theta != lift_policy(PolicyY(np.array([0.5, 0.3])))
+    deeper = PolicyX(np.concatenate([theta.table, theta.table[1:]]))
+    assert theta != deeper  # the same work probabilities at every q, one more row
+    assert theta != phi
+
+
 @settings(max_examples=60, deadline=None)
 @given(spec=specs(), lam=lams, data=st.data())
 def test_x_transition_is_pmf(spec, lam, data):

@@ -1,8 +1,11 @@
 """Monte-Carlo simulator and the two stationary oracles: queue-capped and QBD."""
 
+import functools
 import hashlib
 import re
+import time
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -475,8 +478,9 @@ def test_outputs_do_not_depend_on_block_size(spec5, monkeypatch):
 
 
 def test_step_loop_memory_stays_small(spec5):
-    # the loop holds one block of uniforms as Python floats at a time;
-    # a whole horizon, or a block of 2^16 steps, would take over 10 MB
+    # the loop holds one block of symbols and states at a time, and its
+    # tables cover 2 SIM_BLOCK + L levels; a whole horizon, or a block
+    # of 2^16 steps, would take over 10 MB
     tracemalloc.start()
     try:
         simulate(spec5, 0.15, _theta5(), SimConfig(horizon=200_000, replications=2, seed=1))
@@ -484,3 +488,123 @@ def test_step_loop_memory_stays_small(spec5):
     finally:
         tracemalloc.stop()
     assert peak < 4e6
+
+
+def _reference_step(spec, theta, lam, s, w, q, u):
+    """One step of the full chain from (s, w, q), s 0-based, on the
+    uniforms u = (action, completion, arrival, move), comparing each with
+    its probability as floats. Returns the next (s, w, q) and whether
+    the server worked and whether it completed a job."""
+    act, comp, arr, move = u.tolist()
+    table = theta.table
+    work = act < table[min(q, table.shape[0] - 1), w, s]
+    done = work and comp < spec.mu[s]
+    if work:
+        w = 0 if done else 1
+        s += move < spec.rho_up[s]
+    else:
+        w = 0
+        s -= move < spec.rho_down[s]
+    return int(s), w, q - done + (arr < lam), work, done
+
+
+def _reference_replicate(spec, theta, tables, lam, cfg, rep, start, burn, target=None, trace_rows=None):
+    # sim._replicate's contract, one step at a time on the whole stream
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(cfg.seed, spawn_key=(rep,))))
+    u = rng.random((cfg.horizon, 4))
+    s, w, q = start.s - 1, int(start.w), start.q
+    rows, visits = [], []
+    for k in range(cfg.horizon):
+        s_next, w_next, q_next, work, done = _reference_step(spec, theta, lam, s, w, q, u[k])
+        rows.append((k, s + 1, w, q, work, u[k, 2] < lam, done))
+        s, w, q = s_next, w_next, q_next
+        if target is not None and (s + 1, w, q) == target:
+            visits.append(k + 1)
+    trace = np.array(rows, dtype=np.int64)
+    counted = trace[burn:]
+    busy = counted[counted[:, 3] > 0]
+    tallies = (
+        int(counted[:, 4].sum()),
+        int(counted[:, 6].sum()),
+        int(np.count_nonzero(counted[:, 3] == 0)),
+        int(counted[:, 3].sum()),
+        int(counted[:, 3].max(initial=0)),
+        np.bincount(busy[:, 2] * spec.n_s + busy[:, 1] - 1, minlength=2 * spec.n_s),
+    )
+    if trace_rows is not None:
+        trace_rows.append(trace)
+    return tallies, [np.diff(visits, prepend=0)] if visits else []
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_step_loop_matches_reference(data):
+    # the table lookups on ranked uniforms against a loop that compares
+    # the uniforms with the probabilities; equal thresholds, 0 and 1
+    # probe the ranks' ties and ends, high starts a base above level 0
+    n = data.draw(st.integers(1, 8))
+    unit = st.one_of(st.sampled_from([0.25, 0.5]), st.floats(0.01, 0.99))
+    prob = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.floats(0.0, 1.0))
+    spec = ServerSpec(
+        n_s=n,
+        mu=np.array(data.draw(st.lists(unit, min_size=n, max_size=n))),
+        rho_up=np.array(data.draw(st.lists(unit, min_size=n - 1, max_size=n - 1))),
+        rho_down=np.array(data.draw(st.lists(unit, min_size=n - 1, max_size=n - 1))),
+    )
+    levels = data.draw(st.integers(2, 4))
+    tbl = np.reshape(data.draw(st.lists(prob, min_size=levels * 2 * n, max_size=levels * 2 * n)), (levels, 2, n))
+    tbl[0, 0] = 0.0
+    tbl[1:, 1] = 1.0
+    theta = PolicyX(tbl)
+    lam = data.draw(st.one_of(st.just(0.25), st.floats(0.01, 0.99)))
+
+    def states():
+        return st.builds(
+            lambda s, w, q: SystemState(s, Availability(w), q + w),
+            st.integers(1, n), st.integers(0, 1), st.integers(0, 30),
+        )
+
+    horizon = data.draw(st.integers(1, 200))
+    reps, seed = data.draw(st.integers(1, 2)), data.draw(st.integers(0, 2**32 - 1))
+    cfg = SimConfig(horizon, data.draw(st.integers(0, horizon - 1)), reps, seed, data.draw(states()), trace=True)
+    target = data.draw(states())
+    runs = [
+        lambda: simulate(spec, lam, theta, cfg),
+        lambda: hitting_time_stats(spec, lam, theta, target, SimConfig(horizon, replications=reps, seed=seed)),
+    ]
+    with mock.patch.object(sim, "SIM_BLOCK", data.draw(st.sampled_from([1, 7, 4096]))):
+        got = [run() for run in runs]
+    with mock.patch.object(sim, "_replicate", functools.partial(_reference_replicate, spec, theta)):
+        expect = [run() for run in runs]
+    for result, reference in zip(got, expect):
+        for name, value in vars(reference).items():
+            np.testing.assert_array_equal(getattr(result, name), value, err_msg=name)
+
+
+def test_step_tables_stay_small_and_are_built_once_per_call(monkeypatch):
+    rng = np.random.default_rng(0)
+    n = 20
+    unit = lambda size: rng.uniform(0.05, 0.95, size)  # noqa: E731
+    spec = ServerSpec(n_s=n, mu=unit(n), rho_up=unit(n - 1), rho_down=unit(n - 1))
+    tbl = rng.random((4, 2, n))
+    tbl[0, 0] = 0.0
+    tbl[1:, 1] = 1.0
+    theta = PolicyX(tbl)
+    start = time.perf_counter()
+    sim._step_tables(spec, theta, sim.SIM_BLOCK)
+    assert time.perf_counter() - start < 0.2
+    tracemalloc.start()
+    try:
+        sim._step_tables(spec, theta, sim.SIM_BLOCK)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+
+    built = []
+    step_tables = sim._step_tables
+    monkeypatch.setattr(sim, "_step_tables", lambda *args: built.append(args) or step_tables(*args))
+    simulate(spec, 0.1, theta, SimConfig(horizon=100, replications=64, seed=0))
+    assert len(built) == 1
+    hitting_time_stats(spec, 0.1, theta, SystemState(1, A, 0), SimConfig(horizon=100, replications=64, seed=0))
+    assert len(built) == 2
