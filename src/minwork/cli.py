@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -134,7 +135,9 @@ def cmd_simulate(spec, args) -> int:
     u_oracle, s_oracle = pmf.utilization, pmf.service_rate
 
     cfg = SimConfig(horizon=args.horizon, replications=args.reps, seed=args.seed, trace=args.trace)
+    start = time.perf_counter()
     sim = simulate(spec, args.lam, theta, cfg)
+    seconds = time.perf_counter() - start
     print(f"policy work probabilities: {' '.join(f'{p:.4f}' for p in phi.work_prob)}")
     print(
         f"oracle (exact QBD): utilization {u_oracle:.6f}, service rate {s_oracle:.6f}, "
@@ -148,6 +151,8 @@ def cmd_simulate(spec, args) -> int:
         f"deltas vs oracle: utilization {sim.empirical_utilization - u_oracle:+.6f}, "
         f"service rate {sim.empirical_service_rate - s_oracle:+.6f}"
     )
+    steps = cfg.horizon * cfg.replications
+    print(f"simulated {steps} steps in {seconds:.2f} s ({seconds / steps * 1e9:.0f} ns per step)")
     out = _outdir(args)
     if out is not None:
         header = (

@@ -24,10 +24,12 @@ arrival, activity move) in a fixed order so that runs are bit-exact
 reproducible regardless of the path taken. It draws them in blocks of
 SIM_BLOCK steps; the Philox stream does not depend on the block size,
 so neither do the results. Each event happens when its uniform is below
-a threshold: a work probability, mu(s), rho_up(s) or rho_down(s), or
-lam. numpy ranks each block's uniforms among the sorted distinct
-thresholds, which makes exactly those comparisons, and the step loop
-then moves the state by two table lookups on the ranks (_step_tables).
+a probability: a work probability, mu(s), rho_up(s) or rho_down(s), or
+lam. numpy ranks each block's uniforms by counting the distinct
+probabilities strictly inside (0, 1) at or below them, which makes
+exactly those comparisons, and the step loop then moves the state by
+two table lookups on the ranks (_step_tables). The block's tallies come
+from one histogram of the states it visits.
 """
 
 from __future__ import annotations
@@ -479,9 +481,11 @@ def _se(values: np.ndarray) -> float:
     return float(values.std(ddof=1) / np.sqrt(values.size))
 
 
-def _check_states(spec: ServerSpec, theta: PolicyX, *states: SystemState) -> None:
-    """Raise ValueError unless each state is a state of the chain and
-    theta's table matches spec."""
+def _check_states(spec: ServerSpec, lam: float, theta: PolicyX, *states: SystemState) -> None:
+    """Raise ValueError unless lam lies in (0, 1), each state is a state
+    of the chain and theta's table matches spec."""
+    if not 0.0 < lam < 1.0:
+        raise ValueError("lam must lie in (0, 1)")
     n = spec.n_s
     for state in states:
         # a busy server holds the job in service, so q >= 1 when w = B
@@ -499,56 +503,70 @@ class _StepTables:
     """The step loop's tables for one spec, policy and block size.
 
     The state is x = (q - base) 2 n_s + w n_s + s - 1 for a base level
-    the loop picks per block. Per step, the symbol a combines the ranks
-    of the action and completion uniforms, a = (rank in act) (done.size
-    + 1) + (rank in done), and b those of the move and arrival
-    uniforms, b = 2 (rank in move) + arrival. The rank of u counts the
-    thresholds t <= u, so u < t[j] exactly when the rank is <= j.
-    rows[x][a] is the outcome row of the step: rest, work, or work with
-    a completion, at (w, s), one of 6 n_s; its entry b is the change of
-    x. rows covers 2 block + L + 1 levels: levels 0..L-1 their own, the
-    rest the one list of rows of level L, which holds for every q >= L.
+    the loop picks per block. Each event happens when its uniform u in
+    [0, 1) is below a probability; one of 0 never happens and one of 1
+    always does, so only the distinct probabilities strictly inside
+    (0, 1) are thresholds: act among the work probabilities, done among
+    mu and move among rho_up and rho_down. The rank of u counts the
+    thresholds t <= u, so u < t[j] exactly when the rank is <= j. Per
+    step, the symbol a is the rank of the action uniform, and b folds
+    the ranks of the completion and move uniforms with the arrival,
+    b = 2 ((rank in done) (len(move) + 1) + rank in move) + arrival.
+    rows[x][a] is the outcome family of the step, rest or work at
+    (w, s), one of 4 n_s; its entry b is the change of x. rows covers
+    2 block + L + 1 levels: levels 0..L-1 their own, the rest the one
+    list of rows of level L, which holds for every q >= L.
     """
 
     n_s: int
     levels: int  # L: the table's last row holds for every q >= L
     block: int
-    act: np.ndarray
-    done: np.ndarray
-    move: np.ndarray
+    act: list
+    done: list
+    move: list
+    a_dtype: np.dtype  # the narrowest unsigned dtypes that hold a and b
+    b_dtype: np.dtype
     rows: list
+
+
+def _thresholds(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct entries of p strictly inside (0, 1), and per
+    entry the largest rank at which a uniform is below it: -1 for 0,
+    the number of thresholds for 1."""
+    values, index = np.unique(p, return_inverse=True)
+    return values[(values > 0.0) & (values < 1.0)], index.reshape(p.shape) - int(values[0] == 0.0)
 
 
 def _step_tables(spec: ServerSpec, theta: PolicyX, block: int) -> _StepTables:
     n, L = spec.n_s, theta.table.shape[0] - 1
-    act, done = np.unique(theta.table), np.unique(spec.mu)
-    move = np.unique(np.concatenate([spec.rho_up, spec.rho_down]))
-    j_up, j_down = (np.searchsorted(move, rho).tolist() for rho in (spec.rho_up, spec.rho_down))
-    # the change of x per outcome row (o, w, s), o = 0 rest, 1 work, 2 work
-    # with a completion, and per b = 2 (move rank) + arrival
-    outcome_rows = [
-        [
-            (arrival - (o == 2)) * 2 * n + ((o == 1) - w) * n + ((r <= j_up[s]) if o else -(r <= j_down[s]))
-            for r in range(move.size + 1)
-            for arrival in (0, 1)
-        ]
-        for o in range(3)
-        for w in range(2)
-        for s in range(n)
-    ]
+    act, j_act = _thresholds(theta.table)
+    done, j_done = _thresholds(spec.mu)
+    move, (j_up, j_down) = _thresholds(np.stack([spec.rho_up, spec.rho_down]))
+    # the change of x per family (o, w, s), o = 0 rest, 1 work, over
+    # the axes (rank in done, rank in move, arrival) of b
+    per_s = (n, 1, 1, 1)
+    completes = np.arange(done.size + 1)[:, None, None] <= j_done.reshape(per_s)
+    up, down = (np.arange(move.size + 1)[:, None] <= j.reshape(per_s) for j in (j_up, j_down))
+    arrival = np.arange(2)
+    w_axis = np.arange(2).reshape(2, 1, 1, 1, 1)
+    rest = arrival * 2 * n - w_axis * n - down
+    work = (arrival - completes) * 2 * n + (1 - completes - w_axis) * n + up
+    shape = (2, n, done.size + 1, move.size + 1, 2)
+    families = np.stack([np.broadcast_to(rest, shape), np.broadcast_to(work, shape)]).reshape(4 * n, -1).tolist()
 
-    # per level 0..L, w and s: the outcome row per (action rank, completion rank)
-    n_done = done.size + 1
-    completes = (np.arange(n_done) <= np.searchsorted(done, spec.mu)[:, None]).tolist()  # [s][rank]
-    level_rows = []
-    for (_, w, s), j in np.ndenumerate(np.searchsorted(act, theta.table)):
-        rest, work, work_done = (outcome_rows[(o * 2 + w) * n + s] for o in range(3))
-        worked = [work_done if c else work for c in completes[s]]
-        level_rows.append(worked * (j + 1) + [rest] * ((act.size - j) * n_done))
+    # per level 0..L, w and s: the family per action rank
+    level_rows = [
+        [families[(2 + w) * n + s]] * (j + 1) + [families[w * n + s]] * (act.size - j)
+        for (_, w, s), j in np.ndenumerate(j_act)
+    ]
     top = level_rows[2 * n * L :]
     for _ in range(2 * block):  # one extension at a time keeps the peak low
         level_rows += top
-    return _StepTables(n, L, block, act, done, move, level_rows)
+    b_max = 2 * (done.size + 1) * (move.size + 1) - 1
+    return _StepTables(
+        n, L, block, act.tolist(), done.tolist(), move.tolist(),
+        np.min_scalar_type(act.size), np.min_scalar_type(b_max), level_rows,
+    )
 
 
 def _replicate(
@@ -565,12 +583,14 @@ def _replicate(
     simulators.
 
     Each block of up to tables.block steps draws its uniforms at once
-    and ranks them into the symbols a and b, so the loop only sets
-    x += rows[x][a][b] and records x per step. The block's base is its
-    start level less block + L, or 0, so its rows cover every level
-    the block can reach. After the block, numpy rebuilds each step's
-    (s, w, q) from the recorded x, and its completion as the arrival
-    less the change of q.
+    and ranks each column by counting the thresholds at or below it, so
+    the loop only sets x += rows[x][a][b] and records x per step. The
+    block's base is its start level less block + L, or 0, so its rows
+    cover every level the block can reach. The tallies come from one
+    histogram of the block's counted states over (level, w, s); the
+    completions are the arrivals less the change of q, and the works
+    the counted steps whose next state is busy plus the completions.
+    Only the trace rebuilds each step's (s, w, q).
 
     Returns the tallies over steps k >= burn as (works, completions,
     empty-queue steps, queue sum, queue max, visits per reduced state at
@@ -580,7 +600,7 @@ def _replicate(
     completion).
     """
     n, L, block, rows = tables.n_s, tables.levels, tables.block, tables.rows
-    n2, n_done = 2 * n, tables.done.size + 1
+    n2, move_ranks = 2 * n, len(tables.move) + 1
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(cfg.seed, spawn_key=(rep,))))
     q, r = start.q, int(start.w) * n + start.s - 1  # r = w n + s - 1, the reduced state
     works = done_count = empty = q_sum = q_max_seen = 0
@@ -588,44 +608,57 @@ def _replicate(
     gaps = []
     last = 0
     for k0 in range(0, cfg.horizon, block):
-        u = rng.random((min(block, cfg.horizon - k0), 4))
-        arrival = u[:, 2] < lam
-        sym_a = np.searchsorted(tables.act, u[:, 0], "right") * n_done + np.searchsorted(tables.done, u[:, 1], "right")
-        sym_b = np.searchsorted(tables.move, u[:, 3], "right") * 2 + arrival
+        # columns: action, completion, arrival, move
+        u = np.ascontiguousarray(rng.random((min(block, cfg.horizon - k0), 4)).T)
+        sym_a = np.zeros(u.shape[1], tables.a_dtype)
+        for t in tables.act:
+            sym_a += u[0] >= t
+        sym_b = np.zeros(u.shape[1], tables.b_dtype)
+        for t in tables.done:
+            sym_b += u[1] >= t
+        sym_b *= move_ranks
+        for t in tables.move:
+            sym_b += u[3] >= t
+        sym_b *= 2
+        arrival = u[2] < lam
+        sym_b += arrival
         base = max(q - block - L, 0)
-        x = (q - base) * n2 + r
+        x = x0 = (q - base) * n2 + r
         xs = [x := x + rows[x][a][b] for a, b in zip(sym_a.tolist(), sym_b.tolist())]
-        x_next = np.fromiter(xs, np.int64, len(xs))
-        q0, r0 = q, r
+        path = np.concatenate(([x0], np.fromiter(xs, np.int64, len(xs))))  # before each step, then after the last
         q, r = divmod(xs[-1], n2)
         q += base
         i = max(burn - k0, 0)
-        if i < x_next.size or trace_rows is not None:
-            q_next, r_next = np.divmod(x_next, n2)
-            q_next += base
-            q_now = np.concatenate(([q0], q_next[:-1]))
-            r_now = np.concatenate(([r0], r_next[:-1]))
-            done = arrival - (q_next - q_now)  # 1 at a completion
-            work = (r_next >= n) | (done > 0)  # busy next, or done
-        if i < x_next.size:
-            qc = q_now[i:]
-            busy = qc > 0
-            works += int(np.count_nonzero(work[i:]))
-            done_count += int(np.count_nonzero(done[i:]))
-            empty += qc.size - int(np.count_nonzero(busy))
-            q_sum += int(qc.sum())
-            q_max_seen = max(q_max_seen, int(qc.max()))
-            y_counts += np.bincount(r_now[i:][busy], minlength=n2)
+        if i < len(xs):
+            counted = path[i:-1]
+            lo, hi = int(counted.min()) // n2, int(counted.max()) // n2
+            hist = np.bincount(counted - lo * n2, minlength=(hi - lo + 1) * n2).reshape(-1, n2)
+            per_level = hist.sum(axis=1)
+            q_sum += int(per_level @ np.arange(base + lo, base + hi + 1))
+            q_max_seen = max(q_max_seen, base + hi)
+            if base + lo == 0:
+                empty += int(per_level[0])
+                hist = hist[1:]
+            y_counts += hist.sum(axis=0)
+            x_i = int(path[i])
+            completions = int(np.count_nonzero(arrival[i:])) - (q - base - x_i // n2)
+            done_count += completions
+            # the next states of the counted steps are the counted states but the first, then the last
+            works += int(hist[:, n:].sum()) - (x_i % n2 >= n) + (r >= n) + completions
         if target is not None:
-            hit = x_next == (target.q - base) * n2 + int(target.w) * n + target.s - 1
+            hit = path[1:] == (target.q - base) * n2 + int(target.w) * n + target.s - 1
             times = k0 + 1 + np.flatnonzero(hit)
             if times.size:
                 gaps.append(np.diff(times, prepend=last))
                 last = int(times[-1])
         if trace_rows is not None:
-            k = np.arange(k0, k0 + x_next.size)
-            w_now, s_now = np.divmod(r_now, n)
-            trace_rows.append(np.column_stack((k, s_now + 1, w_now, q_now, work, arrival, done)).astype(np.int64))
+            q_now, r_now = np.divmod(path, n2)
+            q_now += base
+            done = arrival - np.diff(q_now)  # 1 at a completion
+            work = (r_now[1:] >= n) | (done > 0)  # busy next, or done
+            w_now, s_now = np.divmod(r_now[:-1], n)
+            k = np.arange(k0, k0 + len(xs))
+            trace_rows.append(np.column_stack((k, s_now + 1, w_now, q_now[:-1], work, arrival, done)).astype(np.int64))
     return (works, done_count, empty, q_sum, q_max_seen, y_counts), gaps
 
 
@@ -637,9 +670,7 @@ def simulate(spec: ServerSpec, lam: float, theta: PolicyX, cfg: SimConfig) -> Si
     Uniforms are drawn for all four events regardless of the path.
     Replication r uses the stream SeedSequence(seed, spawn_key=(r,)).
     """
-    if not 0.0 < lam < 1.0:
-        raise ValueError("lam must lie in (0, 1)")
-    _check_states(spec, theta, cfg.initial_state)
+    _check_states(spec, lam, theta, cfg.initial_state)
     tables = _step_tables(spec, theta, min(SIM_BLOCK, cfg.horizon))
     counted = cfg.horizon - cfg.burn_in
     tallies = np.empty((cfg.replications, 5))
@@ -692,7 +723,7 @@ def hitting_time_stats(
     cycles; burn-in is ignored. censored is set when some replication
     never returns within its horizon.
     """
-    _check_states(spec, theta, target)
+    _check_states(spec, lam, theta, target)
     tables = _step_tables(spec, theta, min(SIM_BLOCK, cfg.horizon))
     gaps = []
     censored = False

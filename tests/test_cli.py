@@ -67,7 +67,9 @@ def test_simulate_default_policy_deterministic(config_path, tmp_path, capsys):
     args = ("simulate", "--config", config_path, "--lambda", 0.15,
             "--horizon", 50000, "--reps", 2, "--seed", 7, "--out", tmp_path)
     assert run(*args) == 0
-    assert "oracle (exact QBD)" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "oracle (exact QBD)" in out
+    assert "simulated 100000 steps in " in out and " ns per step)" in out
     first = (tmp_path / "simulation.csv").read_text()
     assert run(*args) == 0
     assert (tmp_path / "simulation.csv").read_text() == first

@@ -84,6 +84,17 @@ def test_rejects_a_start_or_target_that_is_not_a_state(spec5, state, run):
             hitting_time_stats(spec5, 0.15, _theta5(), state, cfg)
 
 
+@pytest.mark.parametrize("lam", [0.0, 1.0, 1.5, -0.2, float("nan")])
+@pytest.mark.parametrize("run", ["simulate", "hitting_time_stats"])
+def test_simulators_reject_an_arrival_rate_outside_the_unit_interval(spec5, lam, run):
+    cfg = SimConfig(horizon=1000)
+    with pytest.raises(ValueError, match=re.escape("lam must lie in (0, 1)")):
+        if run == "simulate":
+            simulate(spec5, lam, _theta5(), cfg)
+        else:
+            hitting_time_stats(spec5, lam, _theta5(), SystemState(1, A, 0), cfg)
+
+
 def test_simulation_is_reproducible(spec5):
     cfg = SimConfig(horizon=20000, replications=2, seed=42)
     r1 = simulate(spec5, 0.15, _theta5(), cfg)
@@ -581,25 +592,75 @@ def test_step_loop_matches_reference(data):
             np.testing.assert_array_equal(getattr(result, name), value, err_msg=name)
 
 
+_REST = np.zeros((2, 2, 5))  # rest unless busy
+_REST[1, 1] = 1.0
+_FAST = ServerSpec(n_s=1, mu=np.array([0.9]), rho_up=np.zeros(0), rho_down=np.zeros(0))
+
+
+# (spec or None for spec5, table or None for _theta5, lam, SIM_BLOCK, config, target)
+@pytest.mark.parametrize(
+    "spec, tbl, lam, block, cfg, target",
+    [
+        pytest.param(None, None, 0.3, 7, SimConfig(30, 6, 2, 11, trace=True), SystemState(1, A, 0),
+                     id="burn-in-at-first-block-end"),
+        pytest.param(None, None, 0.3, 7, SimConfig(30, 13, 1, 12, trace=True), SystemState(2, A, 1),
+                     id="burn-in-at-second-block-end"),
+        pytest.param(None, None, 0.3, 4096, SimConfig(1, 0, 2, 13, SystemState(2, B, 3), trace=True),
+                     SystemState(2, A, 3), id="horizon-1"),
+        pytest.param(_FAST, np.array([[[0.0], [0.0]], [[1.0], [1.0]]]), 0.05, 4096,
+                     SimConfig(300, 10, 1, 14, SystemState(1, B, 40), trace=True), SystemState(1, A, 0),
+                     id="drains-through-level-0"),
+        pytest.param(None, _REST, 1e-9, 7, SimConfig(40, 3, 2, 15, trace=True), SystemState(1, A, 0),
+                     id="one-level-empty"),
+        pytest.param(None, _REST, 1e-9, 4096, SimConfig(40, 0, 1, 16, SystemState(4, A, 3), trace=True),
+                     SystemState(3, A, 3), id="one-level-q3"),
+    ],
+)
+def test_histogram_tallies_match_reference_on_edge_cases(spec5, spec, tbl, lam, block, cfg, target, request):
+    # the block histogram where its counted states are few, start at a
+    # block's last step, cross level 0, or keep to one level
+    spec = spec or spec5
+    theta = _theta5() if tbl is None else PolicyX(tbl)
+    runs = [
+        lambda: simulate(spec, lam, theta, cfg),
+        lambda: hitting_time_stats(spec, lam, theta, target, SimConfig(cfg.horizon, replications=2, seed=cfg.seed)),
+    ]
+    with mock.patch.object(sim, "SIM_BLOCK", block):
+        got = [run() for run in runs]
+    with mock.patch.object(sim, "_replicate", functools.partial(_reference_replicate, spec, theta)):
+        expect = [run() for run in runs]
+    for result, reference in zip(got, expect):
+        for name, value in vars(reference).items():
+            np.testing.assert_array_equal(getattr(result, name), value, err_msg=name)
+    q = got[0].trace[:, 3]
+    case = request.node.callspec.id
+    if case == "drains-through-level-0":
+        assert q[0] == 40 and q.min() == 0
+    if case.startswith("one-level"):
+        assert np.all(q == q[0])
+
+
 def test_step_tables_stay_small_and_are_built_once_per_call(monkeypatch):
-    rng = np.random.default_rng(0)
-    n = 20
-    unit = lambda size: rng.uniform(0.05, 0.95, size)  # noqa: E731
-    spec = ServerSpec(n_s=n, mu=unit(n), rho_up=unit(n - 1), rho_down=unit(n - 1))
-    tbl = rng.random((4, 2, n))
-    tbl[0, 0] = 0.0
-    tbl[1:, 1] = 1.0
-    theta = PolicyX(tbl)
-    start = time.perf_counter()
-    sim._step_tables(spec, theta, sim.SIM_BLOCK)
-    assert time.perf_counter() - start < 0.2
-    tracemalloc.start()
-    try:
+    # many activity states, and many distinct work probabilities: a level
+    # row holds one family per interior work probability, plus one
+    for n, levels in ((20, 4), (5, 128)):
+        rng = np.random.default_rng(0)
+        unit = lambda size: rng.uniform(0.05, 0.95, size)  # noqa: E731
+        spec = ServerSpec(n_s=n, mu=unit(n), rho_up=unit(n - 1), rho_down=unit(n - 1))
+        tbl = rng.random((levels, 2, n))
+        tbl[0, 0] = 0.0
+        tbl[1:, 1] = 1.0
+        theta = PolicyX(tbl)
+        start = time.perf_counter()
         sim._step_tables(spec, theta, sim.SIM_BLOCK)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 8e6
+        assert time.perf_counter() - start < 0.2
+        tracemalloc.start()
+        try:
+            sim._step_tables(spec, theta, sim.SIM_BLOCK)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6, (n, levels)
 
     built = []
     step_tables = sim._step_tables
