@@ -11,15 +11,8 @@ from pathlib import Path
 
 import numpy as np
 
-from minwork import (
-    frontier,
-    lift_policy,
-    load_spec,
-    policy_from_occupation,
-    qbd_stationary,
-    solve_lp,
-    stationary_pmf_y,
-)
+from minwork import frontier, lift_policy, load_spec, policy_from_occupation, qbd_stationary, solve_lp
+from minwork.chain import stationary_pmf_y
 
 
 def main():

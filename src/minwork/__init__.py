@@ -7,150 +7,28 @@ synthesizes near-optimal stabilizing policies for the full
 server-plus-queue chain, certifies them by an exact matrix-geometric
 analysis of the uncapped queue, and checks that analysis against an
 exact solve on a truncated queue and against seeded simulation.
+
+The names below are the documented API (README.md, Library tour);
+every other public name is imported from its module.
 """
 
+from types import ModuleType as _ModuleType
+
 from .chain import (
-    DaggerDecomposition,
-    MixingConstants,
-    NonUniqueStationaryError,
-    PotentialFunction,
     communicating_classes,
-    dagger_rates,
     decompose_dagger_policy,
     max_service_rate,
     mixing_constants,
     potential_function,
-    service_rate,
-    service_reward,
     stationary_pmf,
-    stationary_pmf_y,
-    threshold_policy,
     threshold_rates,
-    utilization_rate_y,
 )
-from .frontier import (
-    Frontier,
-    LpResult,
-    NotStabilizableError,
-    OccupationMeasure,
-    frontier,
-    infimum_utilization,
-    lower_convex_hull,
-    occupation_from_policy,
-    policy_from_occupation,
-    solve_lp,
-)
-from .model import (
-    Action,
-    Availability,
-    NumericalFailure,
-    PolicyX,
-    PolicyY,
-    ServerSpec,
-    ServerState,
-    SystemState,
-    activity_transition,
-    admissible_actions_x,
-    admissible_actions_y,
-    load_spec,
-    x_transition,
-    y_index,
-    y_state,
-    ybar_kernel,
-    ybar_matrix,
-)
-from .sim import (
-    HittingStats,
-    QBDPMF,
-    SimConfig,
-    SimResult,
-    TruncatedPMF,
-    hitting_time_stats,
-    qbd_stationary,
-    simulate,
-    truncated_service_rate,
-    truncated_stationary,
-    truncated_stationary_auto,
-    truncated_utilization,
-)
-from .simplex import SimplexResult, solve_simplex
-from .synthesis import (
-    GapUnachievableError,
-    ProjectionUndefinedError,
-    SynthesisResult,
-    classify_stability,
-    lift_policy,
-    project_policy,
-    synthesize,
-)
-from .verify import CheckResult, run_all
+from .frontier import NotStabilizableError, frontier, occupation_from_policy, policy_from_occupation, solve_lp
+from .model import NumericalFailure, PolicyX, PolicyY, ServerSpec, load_spec, x_transition, ybar_kernel, ybar_matrix
+from .sim import SimConfig, hitting_time_stats, qbd_stationary, simulate, truncated_stationary, truncated_stationary_auto
+from .synthesis import GapUnachievableError, classify_stability, lift_policy, project_policy, synthesize
+from .verify import CheckResult
 
-__all__ = [
-    "Action",
-    "Availability",
-    "CheckResult",
-    "DaggerDecomposition",
-    "Frontier",
-    "GapUnachievableError",
-    "HittingStats",
-    "LpResult",
-    "MixingConstants",
-    "NonUniqueStationaryError",
-    "NotStabilizableError",
-    "NumericalFailure",
-    "OccupationMeasure",
-    "PolicyX",
-    "PolicyY",
-    "PotentialFunction",
-    "ProjectionUndefinedError",
-    "QBDPMF",
-    "ServerSpec",
-    "ServerState",
-    "SimConfig",
-    "SimResult",
-    "SimplexResult",
-    "SynthesisResult",
-    "SystemState",
-    "TruncatedPMF",
-    "activity_transition",
-    "admissible_actions_x",
-    "admissible_actions_y",
-    "classify_stability",
-    "communicating_classes",
-    "dagger_rates",
-    "decompose_dagger_policy",
-    "frontier",
-    "hitting_time_stats",
-    "infimum_utilization",
-    "lift_policy",
-    "load_spec",
-    "lower_convex_hull",
-    "max_service_rate",
-    "mixing_constants",
-    "occupation_from_policy",
-    "policy_from_occupation",
-    "potential_function",
-    "project_policy",
-    "qbd_stationary",
-    "run_all",
-    "service_rate",
-    "service_reward",
-    "simulate",
-    "solve_lp",
-    "solve_simplex",
-    "stationary_pmf",
-    "stationary_pmf_y",
-    "synthesize",
-    "threshold_policy",
-    "threshold_rates",
-    "truncated_service_rate",
-    "truncated_stationary",
-    "truncated_stationary_auto",
-    "truncated_utilization",
-    "utilization_rate_y",
-    "x_transition",
-    "y_index",
-    "y_state",
-    "ybar_kernel",
-    "ybar_matrix",
-]
+__all__ = sorted(
+    name for name, value in globals().items() if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

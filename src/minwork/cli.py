@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -184,11 +185,10 @@ def cmd_simulate(spec, args) -> int:
         )
         _write_csv(out / "simulation.csv", header, rows)
         if sim.trace is not None:
-            _write_csv(
-                out / "trace.csv",
-                ("step", "s", "w", "q", "action", "arrival", "completion"),
-                [tuple(int(v) for v in row) for row in sim.trace],
-            )
+            path = out / "trace.csv"
+            header = "step,s,w,q,action,arrival,completion"
+            np.savetxt(path, sim.trace, fmt="%d", delimiter=",", header=header, comments="")
+            print(f"wrote {path}")
     return 0
 
 
@@ -210,10 +210,27 @@ def cmd_verify(spec, args) -> int:
     return 0 if passed == len(results) else 4
 
 
+def _ranged(cast, must: str, ok):
+    """An argparse type that casts the flag's text and requires ok of
+    the value; argparse names the flag in the error and exits 2."""
+
+    def parse(text):
+        value = cast(text)
+        if not ok(value):  # NaN fails every range
+            raise argparse.ArgumentTypeError(f"must {must}, got {text}")
+        return value
+
+    parse.__name__ = cast.__name__  # a failed cast reads "invalid float value"
+    return parse
+
+
 def _parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", required=True, help="model config file (YAML)")
     common.add_argument("--out", default=None, help="directory for full-precision output files")
+    rate = _ranged(float, "lie in (0, 1)", lambda x: 0.0 < x < 1.0)  # every --lambda
+    positive = _ranged(float, "be positive and finite", lambda x: 0.0 < x < math.inf)
+    seed = _ranged(int, "be nonnegative", lambda x: x >= 0)
 
     p = argparse.ArgumentParser(prog="minwork", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -225,57 +242,37 @@ def _parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_frontier)
 
     sp = sub.add_parser("policy", parents=[common], help="synthesize a near-optimal policy")
-    sp.add_argument("--lambda", dest="lam", type=float, required=True, help="arrival rate")
-    sp.add_argument("--delta", type=float, default=0.05, help="utilization gap target")
+    sp.add_argument("--lambda", dest="lam", type=rate, required=True, help="arrival rate")
+    sp.add_argument("--delta", type=positive, default=0.05, help="utilization gap target")
     sp.set_defaults(func=cmd_policy)
 
     sp = sub.add_parser("simulate", parents=[common], help="simulate a lifted policy")
-    sp.add_argument("--lambda", dest="lam", type=float, required=True, help="arrival rate")
-    sp.add_argument("--eps", type=float, default=None, help="LP floor for policy extraction")
-    sp.add_argument("--nu-bar", dest="nu_bar", type=float, default=None, help="LP service-rate target")
-    sp.add_argument("--horizon", type=int, default=10**6, help="steps per replication")
-    sp.add_argument("--reps", type=int, default=5, help="replications")
-    sp.add_argument("--seed", type=int, default=0, help="RNG seed")
+    sp.add_argument("--lambda", dest="lam", type=rate, required=True, help="arrival rate")
+    sp.add_argument("--eps", type=_ranged(float, "lie in [0, 1]", lambda x: 0.0 <= x <= 1.0),
+                    default=None, help="LP floor for policy extraction")
+    sp.add_argument("--nu-bar", dest="nu_bar", type=positive, default=None, help="LP service-rate target")
+    sp.add_argument("--horizon", type=_ranged(int, "be at least 10", lambda x: x >= 10),
+                    default=10**6, help="steps per replication")
+    sp.add_argument("--reps", type=_ranged(int, "be at least 1", lambda x: x >= 1), default=5, help="replications")
+    sp.add_argument("--seed", type=seed, default=0, help="RNG seed")
     sp.add_argument("--trace", action="store_true", help="write a per-step trace (large)")
     sp.set_defaults(func=cmd_simulate)
 
     sp = sub.add_parser("verify", parents=[common], help="run the built-in verification suite")
-    sp.add_argument("--lambda", dest="lam", type=float, default=0.15, help="arrival rate for end-to-end checks")
-    sp.add_argument("--seed", type=int, default=0, help="RNG seed")
+    sp.add_argument("--lambda", dest="lam", type=rate, default=0.15,
+                    help="arrival rate of C9 and C11; C10 runs at its reference rate 0.15")
+    sp.add_argument("--seed", type=seed, default=0, help="RNG seed")
     sp.add_argument("--only", nargs="+", default=None, metavar="ID", help="run only these criterion ids (e.g. C1 C4)")
     sp.set_defaults(func=cmd_verify)
 
     return p
 
 
-def _check_ranges(args) -> str | None:
-    lam = getattr(args, "lam", None)
-    if lam is not None and not 0.0 < lam < 1.0:
-        return f"--lambda must lie in (0, 1), got {lam}"
-    delta = getattr(args, "delta", None)
-    if delta is not None and delta <= 0.0:
-        return f"--delta must be positive, got {delta}"
-    eps = getattr(args, "eps", None)
-    if eps is not None and not 0.0 <= eps <= 1.0:
-        return f"--eps must lie in [0, 1], got {eps}"
-    nu_bar = getattr(args, "nu_bar", None)
-    if nu_bar is not None and nu_bar <= 0.0:
-        return f"--nu-bar must be positive, got {nu_bar}"
-    horizon = getattr(args, "horizon", None)
-    if horizon is not None and horizon < 10:
-        return f"--horizon must be at least 10, got {horizon}"
-    reps = getattr(args, "reps", None)
-    if reps is not None and reps < 1:
-        return f"--reps must be at least 1, got {reps}"
-    return None
-
-
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
-    problem = _check_ranges(args)
-    if problem is not None:
-        print(f"error: {problem}", file=sys.stderr)
-        return 2
+    try:
+        args = _parser().parse_args(argv)
+    except SystemExit as exc:  # argparse printed the help, or a flag's error (code 2)
+        return exc.code
     try:
         spec = load_spec(args.config)
     except (OSError, ValueError) as exc:
@@ -290,7 +287,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:
-        # argument combinations the range checks cannot see
+        # values no single flag's range can judge, such as an unknown check id
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -92,8 +92,8 @@ def solve_lp(spec: ServerSpec, nu_bar: float, eps: float) -> LpResult:
     """
     if not 0.0 <= eps <= 1.0:
         raise ValueError("eps must lie in [0, 1]")
-    if nu_bar < 0.0:
-        raise ValueError("nu_bar must be nonnegative")
+    if not 0.0 <= nu_bar < np.inf:
+        raise ValueError("nu_bar must be nonnegative and finite")
     n = spec.n_s
     nv = 3 * n
     iw, ir, ib = np.arange(n), np.arange(n, 2 * n), np.arange(2 * n, 3 * n)
@@ -211,7 +211,7 @@ class Frontier:
     def __call__(self, nu_bar: float) -> float:
         xs = [p[0] for p in self.breakpoints]
         ys = [p[1] for p in self.breakpoints]
-        if nu_bar < xs[0] - 1e-12 or nu_bar > xs[-1] + 1e-12:
+        if not xs[0] - 1e-12 <= nu_bar <= xs[-1] + 1e-12:
             raise ValueError(f"service rate {nu_bar} outside [{xs[0]}, {xs[-1]}]")
         return float(np.interp(nu_bar, xs, ys))
 
@@ -233,11 +233,11 @@ def frontier(spec: ServerSpec) -> Frontier:
 def infimum_utilization(spec: ServerSpec, lam: float) -> float:
     """Least stationary work probability over policies that serve at
     rate lam; errors if lam is not stabilizable."""
+    if not 0.0 < lam < np.inf:
+        raise ValueError("lam must be positive and finite")
     f = frontier(spec)
     if lam >= f.nu_star:
         raise NotStabilizableError(
             f"arrival rate {lam} is not stabilizable: best service rate is {f.nu_star}"
         )
-    if lam <= 0.0:
-        raise ValueError("lam must be positive")
     return f(lam)

@@ -56,6 +56,7 @@ from .model import (
 QBD_MAX_STEPS = 64  # each reduction step or squaring doubles the levels covered
 QBD_T_TOL = 1e-15  # ||T||_inf bounds what further reduction steps add to G's rows
 FLOW_TOL = 1e-9  # |service rate - lam|
+DRIFT_TOL = 1e-12  # a service rate within this of lam is lam: the drift test's round-off margin
 QBD_BALANCE_TOL = 1e-12
 NORMALIZATION_TOL = 1e-10
 SIM_BLOCK = 4096  # steps of uniforms drawn at once; the stream is the same for any block size
@@ -325,14 +326,20 @@ def _log_reduction(up: np.ndarray, local: np.ndarray, down: np.ndarray) -> np.nd
     b_up = np.linalg.solve(eye - local, up)
     b_down = np.linalg.solve(eye - local, down)
     G, T = b_down.copy(), b_up.copy()
-    for _ in range(QBD_MAX_STEPS):
-        mix = eye - b_up @ b_down - b_down @ b_up
-        b_up, b_down = np.linalg.solve(mix, b_up @ b_up), np.linalg.solve(mix, b_down @ b_down)
-        G += T @ b_down
-        T = T @ b_up
-        t_norm = float(np.abs(T).sum(axis=1).max())
-        if t_norm < QBD_T_TOL:
-            return G
+    with np.errstate(all="ignore"):  # a diverging T raises below instead of warning
+        for step in range(1, QBD_MAX_STEPS + 1):
+            mix = eye - b_up @ b_down - b_down @ b_up
+            b_up, b_down = np.linalg.solve(mix, b_up @ b_up), np.linalg.solve(mix, b_down @ b_down)
+            G += T @ b_down
+            T = T @ b_up
+            t_norm = float(np.abs(T).sum(axis=1).max())
+            if t_norm < QBD_T_TOL:
+                return G
+            if not np.isfinite(t_norm):
+                raise NumericalFailure(
+                    f"logarithmic reduction: ||T|| = {t_norm} is not finite after {step} steps; "
+                    "the policy may not stabilize the arrival rate"
+                )
     raise NumericalFailure(
         f"logarithmic reduction: ||T|| = {t_norm:.3e} still not below {QBD_T_TOL:g} "
         f"after {QBD_MAX_STEPS} steps; the policy may not stabilize the arrival rate"
@@ -355,14 +362,16 @@ def qbd_stationary(spec: ServerSpec, lam: float, theta: PolicyX) -> QBDPMF:
     reduced chain under the base policy, and the level drifts up by
     lam - (service rate in that chain). The chain is positive recurrent
     only if some recurrent class of the phases serves more than lam
-    (mean-drift condition, Neuts 1981).
+    (mean-drift condition, Neuts 1981). A rate within DRIFT_TOL of lam
+    counts as lam: round-off puts a null-recurrent policy's rate on
+    either side of it.
 
     Raises ValueError for a policy whose work probabilities change with
     q >= 1, NotStabilizableError naming the service rate and lam when
-    no recurrent class of the phases serves more than lam, and
-    NumericalFailure naming the quantity, its value and its bound when
-    the service rate misses lam, the balance equations, the sign or the
-    normalization fail their audit.
+    no recurrent class of the phases serves more than lam + DRIFT_TOL,
+    and NumericalFailure naming the quantity, its value and its bound
+    when the service rate misses lam, the balance equations, the sign or
+    the normalization fail their audit.
     """
     if not 0.0 < lam < 1.0:
         raise ValueError("lam must lie in (0, 1)")
@@ -378,10 +387,10 @@ def qbd_stationary(spec: ServerSpec, lam: float, theta: PolicyX) -> QBDPMF:
         for c, recurrent in communicating_classes(phases)
         if recurrent
     )
-    if not rate > lam:
+    if not rate > lam + DRIFT_TOL:
         raise NotStabilizableError(
             f"the policy serves {rate:.6g} per step at a nonempty queue, not more than "
-            f"the arrival rate {lam:g}: the queue has no stationary law"
+            f"the arrival rate {lam:g} by {DRIFT_TOL:g}: the queue has no stationary law"
         )
     eye = np.eye(2 * n)
     try:
@@ -577,7 +586,7 @@ def _replicate(
     start: SystemState,
     burn: int,
     target: SystemState | None = None,
-    trace_rows: list | None = None,
+    trace: np.ndarray | None = None,
 ):
     """Replication rep of cfg from start: the step loop of both
     simulators.
@@ -595,8 +604,8 @@ def _replicate(
     Returns the tallies over steps k >= burn as (works, completions,
     empty-queue steps, queue sum, queue max, visits per reduced state at
     q >= 1), and the gaps between successive visits to target, one
-    integer array per block with a visit. With trace_rows, appends one
-    (steps, 7) array per block of rows (k, s, w, q, work, arrival,
+    integer array per block with a visit. With trace, an int64 array of
+    shape (cfg.horizon, 7), writes row k as (k, s, w, q, work, arrival,
     completion).
     """
     n, L, block, rows = tables.n_s, tables.levels, tables.block, tables.rows
@@ -651,14 +660,17 @@ def _replicate(
             if times.size:
                 gaps.append(np.diff(times, prepend=last))
                 last = int(times[-1])
-        if trace_rows is not None:
+        if trace is not None:
+            steps = trace[k0 : k0 + len(xs)]
             q_now, r_now = np.divmod(path, n2)
             q_now += base
-            done = arrival - np.diff(q_now)  # 1 at a completion
-            work = (r_now[1:] >= n) | (done > 0)  # busy next, or done
-            w_now, s_now = np.divmod(r_now[:-1], n)
-            k = np.arange(k0, k0 + len(xs))
-            trace_rows.append(np.column_stack((k, s_now + 1, w_now, q_now[:-1], work, arrival, done)).astype(np.int64))
+            steps[:, 0] = np.arange(k0, k0 + len(xs))
+            steps[:, 2], steps[:, 1] = np.divmod(r_now[:-1], n)
+            steps[:, 1] += 1
+            steps[:, 3] = q_now[:-1]
+            steps[:, 5] = arrival
+            steps[:, 6] = arrival - np.diff(q_now)  # 1 at a completion
+            steps[:, 4] = (r_now[1:] >= n) | (steps[:, 6] > 0)  # busy next, or done
     return (works, done_count, empty, q_sum, q_max_seen, y_counts), gaps
 
 
@@ -675,10 +687,11 @@ def simulate(spec: ServerSpec, lam: float, theta: PolicyX, cfg: SimConfig) -> Si
     counted = cfg.horizon - cfg.burn_in
     tallies = np.empty((cfg.replications, 5))
     y_counts_total = np.zeros(spec.n_y)
-    trace_rows = [] if cfg.trace else None
+    trace = np.empty((cfg.replications * cfg.horizon, 7), np.int64) if cfg.trace else None
     for rep in range(cfg.replications):
         (*totals, y_counts), _ = _replicate(
-            tables, lam, cfg, rep, cfg.initial_state, cfg.burn_in, trace_rows=trace_rows
+            tables, lam, cfg, rep, cfg.initial_state, cfg.burn_in,
+            trace=None if trace is None else trace[rep * cfg.horizon : (rep + 1) * cfg.horizon],
         )
         tallies[rep] = totals
         y_counts_total += y_counts / counted
@@ -699,7 +712,7 @@ def simulate(spec: ServerSpec, lam: float, theta: PolicyX, cfg: SimConfig) -> Si
         rep_empty_fraction=rep_empty,
         rep_queue_mean=rep_qmean,
         rep_queue_max=rep_qmax,
-        trace=np.concatenate(trace_rows) if trace_rows is not None else None,
+        trace=trace,
     )
 
 

@@ -116,6 +116,10 @@ def solve_simplex(c, A_eq=None, b_eq=None, A_ub=None, b_ub=None) -> SimplexResul
     for a, _, rhs in blocks:
         if a.shape[1] != n or rhs.shape != (a.shape[0],):
             raise ValueError(f"constraints of shape {a.shape} and rhs of shape {rhs.shape} do not fit {n} variables")
+        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(rhs))):
+            raise ValueError("constraints and rhs must be finite")
+    if not np.all(np.isfinite(c)):
+        raise ValueError("cost vector must be finite")
 
     A = np.vstack([np.hstack([a, slack]) for a, slack, _ in blocks])
     b = np.concatenate([rhs for _, _, rhs in blocks])

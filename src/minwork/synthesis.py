@@ -129,8 +129,10 @@ def synthesize(spec: ServerSpec, lam: float, delta: float) -> SynthesisResult:
     qbd_stationary, clears frontier(lam) + delta. A policy whose oracle
     audits fail raises NumericalFailure.
     """
-    if delta <= 0.0:
-        raise ValueError("delta must be positive")
+    if not 0.0 < delta < np.inf:
+        raise ValueError("delta must be positive and finite")
+    if not np.isfinite(lam):
+        raise ValueError("lam must be finite")
     front = frontier(spec)
     if not 0.0 < lam < front.nu_star:
         raise NotStabilizableError(

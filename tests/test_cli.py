@@ -3,10 +3,12 @@
 import csv
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
 
+from minwork import verify
 from minwork.chain import threshold_rates
 from minwork.cli import main
 from minwork.frontier import frontier
@@ -118,6 +120,33 @@ def test_exit_codes(config_path, tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("lam", [0.2, 0.15, 0.1])
+def test_simulate_null_recurrent_policy_exits_3(config_path, capsys, lam):
+    # the LP policy at nu_bar = lambda serves lambda up to round-off on
+    # either side; each reads as not stabilizing, with no warning
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run("simulate", "--config", config_path, "--lambda", lam,
+                   "--eps", 1e-3, "--nu-bar", lam) == 3
+    assert not caught
+    assert f"serves {lam:g} per step at a nonempty queue, not more than the arrival rate {lam:g}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args, flag", [
+    (("policy", "--lambda", 0.15, "--delta", "nan"), "--delta"),
+    (("policy", "--lambda", "nan"), "--lambda"),
+    (("simulate", "--lambda", 0.15, "--eps", 1e-3, "--nu-bar", "nan"), "--nu-bar"),
+    (("simulate", "--lambda", 0.15, "--eps", 1e-3, "--nu-bar", "inf"), "--nu-bar"),
+    (("simulate", "--lambda", 0.15, "--eps", "nan", "--nu-bar", 0.2), "--eps"),
+    (("simulate", "--lambda", 0.15, "--reps", 0), "--reps"),
+    (("verify", "--lambda", "inf"), "--lambda"),
+    (("verify", "--seed", -1), "--seed"),
+])
+def test_out_of_range_flags_exit_2_naming_the_flag(config_path, capsys, args, flag):
+    assert run(args[0], "--config", config_path, *args[1:]) == 2
+    assert f"argument {flag}: must " in capsys.readouterr().err
+
+
 def test_policy_tight_delta_exit_codes(config_path, capsys):
     assert run("policy", "--config", config_path, "--lambda", 0.15, "--delta", 0.005) == 0
     assert "exact QBD oracle" in capsys.readouterr().out
@@ -146,3 +175,21 @@ def test_verify_subset(config_path, tmp_path, capsys):
 def test_verify_unknown_check(config_path, capsys):
     assert run("verify", "--config", config_path, "--only", "C99") == 2
     capsys.readouterr()
+
+
+def test_verify_lambda_sets_c9_and_c11_not_c10(config_path, capsys):
+    # C10's targets are set for lambda 0.15; it runs there whatever --lambda says
+    lines = []
+    for lam in (0.2, 0.1):
+        assert run("verify", "--config", config_path, "--lambda", lam, "--only", "C10") == 0
+        lines.append(re.sub(r" \[\d+\.\d{3} s\]$", "", capsys.readouterr().out.splitlines()[0]))
+    assert lines[0] == lines[1] and lines[0].startswith("[PASS] C10 distributional convergence: ")
+
+
+def test_verify_names_a_check_that_raises(config_path, capsys, monkeypatch):
+    def fail(*args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(verify, "qbd_stationary", fail)
+    assert run("verify", "--config", config_path, "--only", "C10") == 4
+    assert capsys.readouterr().out.startswith("[FAIL] C10 distributional convergence: error: boom [")

@@ -66,6 +66,12 @@ def test_frontier_interpolation(spec5):
         f(-0.01)
 
 
+@pytest.mark.parametrize("nu", [np.nan, np.inf, -np.inf])
+def test_frontier_rejects_non_finite_rates(spec5, nu):
+    with pytest.raises(ValueError, match="outside"):
+        frontier(spec5)(nu)
+
+
 def test_frontier_sample_is_convex_nondecreasing(spec5):
     xs = frontier(spec5).sample(101)
     dy = np.diff(xs[:, 1])
@@ -136,6 +142,12 @@ def test_lp_validates_arguments(spec5):
         solve_lp(spec5, -0.2, 0.0)
 
 
+@pytest.mark.parametrize("nu_bar, eps", [(np.nan, 1e-3), (np.inf, 1e-3), (0.2, np.nan)])
+def test_lp_rejects_non_finite_arguments(spec5, nu_bar, eps):
+    with pytest.raises(ValueError, match="must"):
+        solve_lp(spec5, nu_bar, eps)
+
+
 def test_eps_one_forbids_resting_at_bottom(spec5):
     res = solve_lp(spec5, 0.25, 1.0)
     assert res.feasible
@@ -188,6 +200,13 @@ def test_infimum_utilization(spec5):
         infimum_utilization(spec5, 0.4)
     with pytest.raises(ValueError):
         infimum_utilization(spec5, 0.0)
+
+
+@pytest.mark.parametrize("lam", [np.nan, np.inf])
+def test_infimum_utilization_rejects_non_finite_rates(spec5, lam):
+    with pytest.raises(ValueError, match="finite") as info:
+        infimum_utilization(spec5, lam)
+    assert type(info.value) is ValueError  # not NotStabilizableError, which the CLI maps to exit 3
 
 
 @settings(max_examples=15, deadline=None)

@@ -5,6 +5,7 @@ import hashlib
 import re
 import time
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -311,6 +312,17 @@ def test_qbd_raises_on_unstable_policy(spec5):
         qbd_stationary(spec5, 0.15, theta)
 
 
+def test_log_reduction_reports_a_diverging_t(spec5):
+    # at nu_bar = lam = 0.2 the LP policy is null recurrent: T overflows
+    # instead of vanishing, and that is named, with no warning escaping
+    theta = lift_policy(policy_from_occupation(solve_lp(spec5, 0.2, 1e-3).measure))
+    (_, up), (_, local), (_, down) = sim._level_blocks(spec5, 0.2, theta.table)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalFailure, match=r"\|\|T\|\| = (inf|nan) is not finite after \d+ steps"):
+            sim._log_reduction(up, local, down)
+
+
 def test_truncated_rejects_tiny_qmax(spec5):
     with pytest.raises(ValueError):
         truncated_stationary(spec5, 0.15, _theta5(), 1)
@@ -519,7 +531,7 @@ def _reference_step(spec, theta, lam, s, w, q, u):
     return int(s), w, q - done + (arr < lam), work, done
 
 
-def _reference_replicate(spec, theta, tables, lam, cfg, rep, start, burn, target=None, trace_rows=None):
+def _reference_replicate(spec, theta, tables, lam, cfg, rep, start, burn, target=None, trace=None):
     # sim._replicate's contract, one step at a time on the whole stream
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(cfg.seed, spawn_key=(rep,))))
     u = rng.random((cfg.horizon, 4))
@@ -531,8 +543,8 @@ def _reference_replicate(spec, theta, tables, lam, cfg, rep, start, burn, target
         s, w, q = s_next, w_next, q_next
         if target is not None and (s + 1, w, q) == target:
             visits.append(k + 1)
-    trace = np.array(rows, dtype=np.int64)
-    counted = trace[burn:]
+    steps = np.array(rows, dtype=np.int64)
+    counted = steps[burn:]
     busy = counted[counted[:, 3] > 0]
     tallies = (
         int(counted[:, 4].sum()),
@@ -542,8 +554,8 @@ def _reference_replicate(spec, theta, tables, lam, cfg, rep, start, burn, target
         int(counted[:, 3].max(initial=0)),
         np.bincount(busy[:, 2] * spec.n_s + busy[:, 1] - 1, minlength=2 * spec.n_s),
     )
-    if trace_rows is not None:
-        trace_rows.append(trace)
+    if trace is not None:
+        trace[:] = steps
     return tallies, [np.diff(visits, prepend=0)] if visits else []
 
 

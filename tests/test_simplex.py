@@ -106,6 +106,17 @@ def test_rejects_constraints_of_the_wrong_width():
         solve_simplex(c=[1.0, 1.0], A_ub=[[1.0, 1.0]], b_ub=[1.0, 2.0])
 
 
+@pytest.mark.parametrize("bad", ["c", "A_eq", "b_eq", "A_ub", "b_ub"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_rejects_non_finite_data(bad, value):
+    data = {"c": [1.0, 1.0], "A_eq": [[1.0, 1.0]], "b_eq": [1.0], "A_ub": [[1.0, 0.0]], "b_ub": [2.0]}
+    arr = np.array(data[bad])
+    arr.flat[0] = value
+    data[bad] = arr
+    with pytest.raises(ValueError, match="must be finite"):
+        solve_simplex(**data)
+
+
 def test_result_shape():
     res = solve_simplex(c=[1.0, 2.0, 3.0], A_eq=[[1.0, 1.0, 1.0]], b_eq=[1.0])
     assert isinstance(res, SimplexResult)

@@ -168,3 +168,10 @@ def test_synthesize_rejects_bad_arguments(spec5):
         synthesize(spec5, lam=0.3, delta=0.1)
     with pytest.raises(NotStabilizableError):
         synthesize(spec5, lam=0.0, delta=0.1)
+
+
+@pytest.mark.parametrize("lam, delta", [(0.15, np.nan), (0.15, np.inf), (np.nan, 0.05), (np.inf, 0.05)])
+def test_synthesize_rejects_non_finite_arguments(spec5, lam, delta):
+    with pytest.raises(ValueError, match="finite") as info:
+        synthesize(spec5, lam=lam, delta=delta)
+    assert type(info.value) is ValueError  # not NotStabilizableError, which the CLI maps to exit 3
