@@ -13,6 +13,7 @@ import numpy as np
 
 from minwork import frontier, lift_policy, load_spec, policy_from_occupation, qbd_stationary, solve_lp
 from minwork.chain import stationary_pmf_y
+from minwork.cli import _ranged
 
 
 def main():
@@ -21,9 +22,9 @@ def main():
         "--config",
         default=Path(__file__).resolve().parent.parent / "configs" / "example1.yaml",
     )
-    ap.add_argument("--lambda", dest="lam", type=float, default=0.15)
-    ap.add_argument("--eps", type=float, default=1e-3)
-    ap.add_argument("--points", type=int, default=8)
+    ap.add_argument("--lambda", dest="lam", type=_ranged(float, "lie in (0, 1)", lambda x: 0.0 < x < 1.0), default=0.15)
+    ap.add_argument("--eps", type=_ranged(float, "lie in [0, 1]", lambda x: 0.0 <= x <= 1.0), default=1e-3)
+    ap.add_argument("--points", type=_ranged(int, "be at least 1", lambda x: x >= 1), default=8)
     args = ap.parse_args()
     spec = load_spec(args.config)
 

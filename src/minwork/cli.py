@@ -144,9 +144,13 @@ def cmd_simulate(spec, args) -> int:
         f"oracle (exact QBD): utilization {u_oracle:.6f}, service rate {s_oracle:.6f}, "
         f"mean queue {pmf.mean_queue:.4g}"
     )
+
+    def se(value):  # one replication has no standard error
+        return "n/a" if math.isnan(value) else f"{value:.2e}"
+
     print(
-        f"pooled: utilization {sim.empirical_utilization:.6f} (se {sim.utilization_se:.2e}), "
-        f"service rate {sim.empirical_service_rate:.6f} (se {sim.service_rate_se:.2e})"
+        f"pooled: utilization {sim.empirical_utilization:.6f} (se {se(sim.utilization_se)}), "
+        f"service rate {sim.empirical_service_rate:.6f} (se {se(sim.service_rate_se)})"
     )
     print(
         f"deltas vs oracle: utilization {sim.empirical_utilization - u_oracle:+.6f}, "

@@ -3,7 +3,11 @@ frontier.
 
 The LP minimizes the stationary probability of working subject to a
 service-rate equality, stationarity of the state-action measure, and a
-floor on the work probability at the bottom-left state. The frontier is
+floor on the work probability at the bottom-left state. Busy states
+admit only work, so their mass is an exact linear function of the work
+mass at the available states: the LP carries the available states alone,
+2 n_s variables and n_s + 2 equality rows, and rebuilds the busy mass
+from them. The frontier is
 the lower convex hull of the threshold-policy rate pairs together with
 the origin; the two constructions are implemented independently and
 cross-checked in tests.
@@ -15,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import PolicyY, ServerSpec, _kernel_matrices
+from .model import NumericalFailure, PolicyY, ServerSpec, _kernel_matrices
 from .chain import stationary_pmf_y, threshold_rates
 from .simplex import solve_simplex
 
@@ -82,38 +86,64 @@ class LpResult:
     feasible: bool
 
 
+def _lp_blocks(spec: ServerSpec):
+    """The condensed LP's constraint rows and cost, and the map from the
+    work mass at the available states to the busy states' mass.
+
+    With W = P_W[A->B], V = P_W[A->A], D = P_R[A->A] and N = (I - W)^-1,
+    busy balance gives work_b = work_a W N, so the work mass per s is
+    work_a N. I - W is upper bidiagonal with row sums mu in (0, 1), a
+    nonsingular M-matrix, so N >= 0: N[s, s'] is the expected number of
+    steps a job started at (s, A) works at activity state s'. Since
+    (I - W) 1 = mu, N mu = 1, as each job completes once, so the service
+    rate is work_a 1. The spec is immutable, so the first call builds
+    the blocks and keeps them on it, read-only.
+    """
+    cached = getattr(spec, "_lp_blocks", None)
+    if cached is not None:
+        return cached
+    n = spec.n_s
+    pw, pr = _kernel_matrices(spec)
+    eye = np.eye(n)
+    visits = np.linalg.solve(eye - pw[:n, n:], eye)  # N
+    work_mass = visits.sum(axis=1)
+    # Rows over [work_a | rest_a]: the service rate, total mass one, then
+    # stationarity per available state, out-mass minus the inflow of the
+    # jobs completed there and of rest.
+    a_eq = np.vstack([
+        np.concatenate([np.ones(n), np.zeros(n)]),
+        np.concatenate([work_mass, np.ones(n)]),
+        np.hstack([(eye - visits @ pw[:n, :n]).T, (eye - pr[:n, :n]).T]),
+    ])
+    busy = pw[:n, n:] @ visits
+    for arr in (a_eq, work_mass, busy):
+        arr.setflags(write=False)
+    object.__setattr__(spec, "_lp_blocks", (a_eq, work_mass, busy))
+    return a_eq, work_mass, busy
+
+
 def solve_lp(spec: ServerSpec, nu_bar: float, eps: float) -> LpResult:
     """Minimum stationary work probability at service rate nu_bar.
 
-    Variables are laid out [work_a | rest_a | work_b], 3 n_s in total.
-    Constraints: eps-floor at (1, A) as one inequality, the service-rate
-    equality, total mass one, and per-state stationarity. Infeasibility
-    is reported, not raised; the value is +inf in that case.
+    Non-preemption forces work at the busy states, so their mass is a
+    linear function of the work mass at the available states and the
+    LP keeps only the variables [work_a | rest_a], 2 n_s in total, and
+    n_s + 2 rows (_lp_blocks): the service-rate equality, total mass
+    one and stationarity per available state, with the eps-floor at
+    (1, A). The full measure, work_b included, is audited for flow
+    balance, service rate and mass before it is returned; a miss
+    raises NumericalFailure. Infeasibility is reported, not raised;
+    the value is +inf in that case.
     """
     if not 0.0 <= eps <= 1.0:
         raise ValueError("eps must lie in [0, 1]")
     if not 0.0 <= nu_bar < np.inf:
         raise ValueError("nu_bar must be nonnegative and finite")
     n = spec.n_s
-    nv = 3 * n
-    iw, ir, ib = np.arange(n), np.arange(n, 2 * n), np.arange(2 * n, 3 * n)
-
-    c = np.zeros(nv)
-    c[iw] = 1.0
-    c[ib] = 1.0
-
-    pw, pr = _kernel_matrices(spec)
-    # Rows: the service rate, total mass one, then stationarity per reduced
-    # state y: its mass (rest_a or work_b at column n + y, plus work_a at
-    # column y when y is available) minus the kernel-weighted inflow.
-    out_mass = np.eye(2 * n, nv, k=n)
-    out_mass[:n, :n] = np.eye(n)
-    a_eq = np.vstack([
-        np.concatenate([spec.mu, np.zeros(n), spec.mu]),
-        np.ones(nv),
-        out_mass - np.hstack([pw[:n].T, pr[:n].T, pw[n:].T]),
-    ])
-    b_eq = np.zeros(2 * n + 2)
+    rows, work_mass, busy = _lp_blocks(spec)
+    a_eq = rows.copy()
+    c = np.concatenate([work_mass, np.zeros(n)])
+    b_eq = np.zeros(n + 2)
     b_eq[:2] = nu_bar, 1.0
 
     # The floor (1-eps) l_{(1,A),W} >= eps l_{(1,A),R} is enforced by exact
@@ -125,13 +155,13 @@ def solve_lp(spec: ServerSpec, nu_bar: float, eps: float) -> LpResult:
     k = 0.0
     if eps >= 1.0:
         # l_{(1,A),R} <= 0 forces the rest mass to zero outright.
-        a_ub = np.zeros((1, nv))
-        a_ub[0, ir[0]] = 1.0
+        a_ub = np.zeros((1, 2 * n))
+        a_ub[0, n] = 1.0
         b_ub = np.zeros(1)
     elif eps > 0.0:
         k = eps / (1.0 - eps)
-        a_eq[:, ir[0]] += k * a_eq[:, iw[0]]
-        c[ir[0]] += k * c[iw[0]]
+        a_eq[:, n] += k * a_eq[:, 0]
+        c[n] += k * c[0]
 
     res = solve_simplex(c, A_eq=a_eq, b_eq=b_eq, A_ub=a_ub, b_ub=b_ub)
     if res.status == "infeasible":
@@ -140,9 +170,17 @@ def solve_lp(spec: ServerSpec, nu_bar: float, eps: float) -> LpResult:
         raise RuntimeError(f"occupation LP ended with status {res.status}")
     x = np.clip(res.x, 0.0, None)
     if k > 0.0:
-        x[iw[0]] += k * x[ir[0]]
-    measure = OccupationMeasure(work_a=x[iw].copy(), rest_a=x[ir].copy(), work_b=x[ib].copy(), floor=eps)
-    return LpResult(value=float(x[iw].sum() + x[ib].sum()), measure=measure, feasible=True)
+        x[0] += k * x[n]
+    work_a = x[:n]
+    measure = OccupationMeasure(work_a=work_a, rest_a=x[n:], work_b=work_a @ busy, floor=eps)
+    for name, value in (
+        ("flow residual", measure.flow_residual(spec)),
+        ("service-rate residual |service rate - nu_bar|", abs(measure.service_rate(spec) - nu_bar)),
+        ("mass residual |total mass - 1|", abs(measure.total_mass - 1.0)),
+    ):
+        if not value <= MASS_TOL:  # NaN fails too
+            raise NumericalFailure(f"occupation LP audit: {name} {value:.3e} exceeds {MASS_TOL:g}")
+    return LpResult(value=measure.utilization(), measure=measure, feasible=True)
 
 
 def policy_from_occupation(l: OccupationMeasure) -> PolicyY:

@@ -561,7 +561,16 @@ def _step_tables(spec: ServerSpec, theta: PolicyX, block: int) -> _StepTables:
     rest = arrival * 2 * n - w_axis * n - down
     work = (arrival - completes) * 2 * n + (1 - completes - w_axis) * n + up
     shape = (2, n, done.size + 1, move.size + 1, 2)
-    families = np.stack([np.broadcast_to(rest, shape), np.broadcast_to(work, shape)]).reshape(4 * n, -1).tolist()
+    # One int object per distinct change, shared by every entry: Python
+    # keeps no cached ints outside [-5, 256], and one per entry took 60 MB
+    # at n_s = 50 with all-distinct mu and rho.
+    lo = int(min(rest.min(), work.min()))
+    shared = list(range(lo, int(max(rest.max(), work.max())) + 1))
+    positions = (np.broadcast_to(o - lo, shape) for o in (rest, work))  # of each change in shared
+    families = [
+        list(map(shared.__getitem__, index[w, s].ravel().tolist()))
+        for index in positions for w in range(2) for s in range(n)
+    ]
 
     # per level 0..L, w and s: the family per action rank
     level_rows = [

@@ -72,6 +72,7 @@ def test_simulate_default_policy_deterministic(config_path, tmp_path, capsys):
     out = capsys.readouterr().out
     assert "oracle (exact QBD)" in out
     assert "simulated 100000 steps in " in out and " ns per step)" in out
+    assert re.search(r"utilization \S+ \(se \d\.\d\de-\d\d\), service rate \S+ \(se \d\.\d\de-\d\d\)", out)
     first = (tmp_path / "simulation.csv").read_text()
     assert run(*args) == 0
     assert (tmp_path / "simulation.csv").read_text() == first
@@ -93,6 +94,13 @@ def test_simulate_extracted_policy_with_trace(config_path, tmp_path, capsys):
     arrival = np.array([int(r["arrival"]) for r in trace])
     np.testing.assert_array_equal(q[1:], q[:-1] - done[:-1] + arrival[:-1])
     capsys.readouterr()
+
+
+def test_simulate_one_replication_has_no_standard_error(config_path, capsys):
+    assert run("simulate", "--config", config_path, "--lambda", 0.15, "--horizon", 1000, "--reps", 1) == 0
+    out = capsys.readouterr().out
+    assert "(se n/a), service rate" in out and out.count("(se n/a)") == 2
+    assert "nan" not in out
 
 
 def test_exit_codes(config_path, tmp_path, capsys):

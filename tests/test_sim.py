@@ -681,3 +681,30 @@ def test_step_tables_stay_small_and_are_built_once_per_call(monkeypatch):
     assert len(built) == 1
     hitting_time_stats(spec, 0.1, theta, SystemState(1, A, 0), SimConfig(horizon=100, replications=64, seed=0))
     assert len(built) == 2
+
+
+def test_step_tables_share_one_int_per_change():
+    # all-distinct mu and rho at n_s = 50: each of the 4 n_s families has
+    # 2 (50 + 1) (98 + 1) entries, most of them changes outside the ints
+    # Python caches; with one int object per entry the build peaked at
+    # 60.8 MB, with one per distinct change it stays near the 16 MB of
+    # list slots
+    n = 50
+    rng = np.random.default_rng(0)
+    unit = lambda size: rng.uniform(0.05, 0.95, size)  # noqa: E731
+    spec = ServerSpec(n_s=n, mu=unit(n), rho_up=unit(n - 1), rho_down=unit(n - 1))
+    tbl = np.ones((2, 2, n))
+    tbl[0, 0] = 0.0
+    tracemalloc.start()
+    try:
+        tables = sim._step_tables(spec, PolicyX(tbl), sim.SIM_BLOCK)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6
+    deltas = {}
+    for row in tables.rows[: 2 * n]:
+        for family in row:
+            for delta in family:
+                assert deltas.setdefault(delta, delta) is delta
+    assert len(deltas) <= 6 * n + 2
