@@ -39,21 +39,20 @@ class NonUniqueStationaryError(ValueError):
         super().__init__(f"non-unique stationary PMF: {rec} recurrent classes")
 
 
-def communicating_classes(P: np.ndarray):
-    """Communicating classes of the support graph of P, whose edges are
-    the entries > 0.
-
-    Returns a list of (states, recurrent) pairs, ordered by smallest
-    member, where states is a sorted list of indices and recurrent is
-    True iff the class has no outgoing edge. Reachability is Warshall's
-    boolean closure, n vectorized passes, which at the few dozen states
-    of a reduced chain is faster than a graph search in Python.
-    """
-    P = np.asarray(P)
+def _closure(P: np.ndarray) -> np.ndarray:
+    """Reachability of the support graph of P, whose edges are the
+    entries > 0: Warshall's boolean closure, n vectorized passes, which
+    at the few dozen states of a reduced chain is faster than a graph
+    search in Python. Entry [i, j] is True iff j is reachable from i,
+    each state reaching itself."""
     n = P.shape[0]
     reach = (P > 0.0) | np.eye(n, dtype=bool)
     for k in range(n):
         reach |= reach[:, k, None] & reach[k]
+    return reach
+
+
+def _classes(reach: np.ndarray):
     # Row i of the mutual-reachability matrix is i's class; the class is
     # listed at its smallest member and is closed iff i reaches no more.
     reach_rows = reach.tolist()
@@ -64,31 +63,50 @@ def communicating_classes(P: np.ndarray):
     ]
 
 
+def communicating_classes(P: np.ndarray):
+    """Communicating classes of the support graph of P, whose edges are
+    the entries > 0.
+
+    Returns a list of (states, recurrent) pairs, ordered by smallest
+    member, where states is a sorted list of indices and recurrent is
+    True iff the class has no outgoing edge.
+    """
+    return _classes(_closure(np.asarray(P)))
+
+
 def stationary_pmf(P: np.ndarray) -> np.ndarray:
     """Unique stationary PMF of P, zeros off the recurrent class.
 
-    Solves the balance equations restricted to the recurrent class with
-    the normalization row replacing one balance row. Raises
+    Solves the balance equations with the normalization row replacing
+    one balance row. When every state reaches every other, which the
+    reachability closure shows, the chain is irreducible and the system
+    is that of P itself; otherwise the classes are listed from the same
+    closure and the system is restricted to the recurrent class. Raises
     NonUniqueStationaryError if more than one class is recurrent.
     """
     P = np.asarray(P, dtype=float)
-    classes = communicating_classes(P)
-    recurrent = [c for c, r in classes if r]
-    if len(recurrent) != 1:
-        raise NonUniqueStationaryError(classes)
-    members = recurrent[0]
-    sub = P[np.ix_(members, members)]
-    k = len(members)
+    reach = _closure(P)
+    members = None
+    sub = P
+    if not reach.all():
+        classes = _classes(reach)
+        recurrent = [c for c, r in classes if r]
+        if len(recurrent) != 1:
+            raise NonUniqueStationaryError(classes)
+        members = recurrent[0]
+        sub = P[np.ix_(members, members)]
+    k = sub.shape[0]
     A = sub.T - np.eye(k)
     A[-1, :] = 1.0
     rhs = np.zeros(k)
     rhs[-1] = 1.0
     try:
-        pi_sub = np.linalg.solve(A, rhs)
+        pi = np.linalg.solve(A, rhs)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"stationary solve failed: {exc}") from exc
-    pi = np.zeros(P.shape[0])
-    pi[members] = pi_sub
+    if members is not None:
+        pi_sub, pi = pi, np.zeros(P.shape[0])
+        pi[members] = pi_sub
     pi[np.abs(pi) < 1e-15] = 0.0
     if np.any(pi < -NEGATIVE_TOL) or abs(pi.sum() - 1.0) > BALANCE_TOL:
         raise NumericalFailure("stationary PMF fails sign or normalization checks")

@@ -6,11 +6,11 @@ service-rate equality, stationarity of the state-action measure, and a
 floor on the work probability at the bottom-left state. Busy states
 admit only work, so their mass is an exact linear function of the work
 mass at the available states: the LP carries the available states alone,
-2 n_s variables and n_s + 2 equality rows, and rebuilds the busy mass
-from them. The frontier is
-the lower convex hull of the threshold-policy rate pairs together with
-the origin; the two constructions are implemented independently and
-cross-checked in tests.
+2 n_s variables and n_s + 1 equality rows, one stationarity row being
+implied by the others, and rebuilds the busy mass from them. The
+frontier is the lower convex hull of the threshold-policy rate pairs
+together with the origin; the two constructions are implemented
+independently and cross-checked in tests.
 """
 
 from __future__ import annotations
@@ -96,8 +96,11 @@ def _lp_blocks(spec: ServerSpec):
     nonsingular M-matrix, so N >= 0: N[s, s'] is the expected number of
     steps a job started at (s, A) works at activity state s'. Since
     (I - W) 1 = mu, N mu = 1, as each job completes once, so the service
-    rate is work_a 1. The spec is immutable, so the first call builds
-    the blocks and keeps them on it, read-only.
+    rate is work_a 1. NV and D are row-stochastic, so the stationarity
+    rows of all n_s available states sum to zero and the last one is
+    left out: the rows are the service rate, total mass one and
+    stationarity at s < n_s. The spec is immutable, so the first call
+    builds the blocks and keeps them on it, read-only.
     """
     cached = getattr(spec, "_lp_blocks", None)
     if cached is not None:
@@ -108,12 +111,12 @@ def _lp_blocks(spec: ServerSpec):
     visits = np.linalg.solve(eye - pw[:n, n:], eye)  # N
     work_mass = visits.sum(axis=1)
     # Rows over [work_a | rest_a]: the service rate, total mass one, then
-    # stationarity per available state, out-mass minus the inflow of the
-    # jobs completed there and of rest.
+    # stationarity per available state but the last, out-mass minus the
+    # inflow of the jobs completed there and of rest.
     a_eq = np.vstack([
         np.concatenate([np.ones(n), np.zeros(n)]),
         np.concatenate([work_mass, np.ones(n)]),
-        np.hstack([(eye - visits @ pw[:n, :n]).T, (eye - pr[:n, :n]).T]),
+        np.hstack([(eye - visits @ pw[:n, :n]).T, (eye - pr[:n, :n]).T])[:-1],
     ])
     busy = pw[:n, n:] @ visits
     for arr in (a_eq, work_mass, busy):
@@ -128,10 +131,11 @@ def solve_lp(spec: ServerSpec, nu_bar: float, eps: float) -> LpResult:
     Non-preemption forces work at the busy states, so their mass is a
     linear function of the work mass at the available states and the
     LP keeps only the variables [work_a | rest_a], 2 n_s in total, and
-    n_s + 2 rows (_lp_blocks): the service-rate equality, total mass
-    one and stationarity per available state, with the eps-floor at
-    (1, A). The full measure, work_b included, is audited for flow
-    balance, service rate and mass before it is returned; a miss
+    n_s + 1 rows (_lp_blocks): the service-rate equality, total mass
+    one and stationarity at every available state but the last, which
+    the others imply, with the eps-floor at (1, A). The full measure,
+    work_b included, is audited for flow balance at all 2 n_s states,
+    service rate and mass before it is returned; a miss
     raises NumericalFailure. Infeasibility is reported, not raised;
     the value is +inf in that case.
     """
@@ -143,7 +147,7 @@ def solve_lp(spec: ServerSpec, nu_bar: float, eps: float) -> LpResult:
     rows, work_mass, busy = _lp_blocks(spec)
     a_eq = rows.copy()
     c = np.concatenate([work_mass, np.zeros(n)])
-    b_eq = np.zeros(n + 2)
+    b_eq = np.zeros(n + 1)
     b_eq[:2] = nu_bar, 1.0
 
     # The floor (1-eps) l_{(1,A),W} >= eps l_{(1,A),R} is enforced by exact

@@ -41,7 +41,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .chain import NEGATIVE_TOL, communicating_classes, stationary_pmf
+from .chain import NEGATIVE_TOL, _classes, _closure, stationary_pmf
 from .chain import stationary_pmf_y  # noqa: F401 - bench/tracing.py wraps it under this module
 from .frontier import NotStabilizableError
 from .model import (
@@ -51,6 +51,7 @@ from .model import (
     ServerSpec,
     SystemState,
     _kernel_matrices,
+    y_state,
 )
 
 QBD_MAX_STEPS = 64  # each reduction step or squaring doubles the levels covered
@@ -360,18 +361,21 @@ def qbd_stationary(spec: ServerSpec, lam: float, theta: PolicyX) -> QBDPMF:
 
     At a nonempty queue the phases move by up + local + down, the
     reduced chain under the base policy, and the level drifts up by
-    lam - (service rate in that chain). The chain is positive recurrent
-    only if some recurrent class of the phases serves more than lam
+    lam - (service rate in that chain). The phases that B01 feeds are
+    where the queue's excursions start, and a recurrent class they
+    reach traps the phases with positive probability, so the chain is
+    positive recurrent only if every such class serves more than lam
     (mean-drift condition, Neuts 1981). A rate within DRIFT_TOL of lam
     counts as lam: round-off puts a null-recurrent policy's rate on
     either side of it.
 
     Raises ValueError for a policy whose work probabilities change with
-    q >= 1, NotStabilizableError naming the service rate and lam when
-    no recurrent class of the phases serves more than lam + DRIFT_TOL,
-    and NumericalFailure naming the quantity, its value and its bound
-    when the service rate misses lam, the balance equations, the sign or
-    the normalization fail their audit.
+    q >= 1, NotStabilizableError naming the service rate, lam and the
+    class when a recurrent class of the phases that level 0 reaches
+    serves no more than lam + DRIFT_TOL, and NumericalFailure naming
+    the quantity, its value and its bound when the service rate misses
+    lam, the balance equations, the sign or the normalization fail
+    their audit.
     """
     if not 0.0 < lam < 1.0:
         raise ValueError("lam must lie in (0, 1)")
@@ -382,15 +386,19 @@ def qbd_stationary(spec: ServerSpec, lam: float, theta: PolicyX) -> QBDPMF:
     b00, b01 = b0_local[:n, :n], b0_up[:n]
     b10 = np.ascontiguousarray(down[:, :n])
     phases, served_at = up + local + down, work * mu
-    rate = max(
-        stationary_pmf(phases[np.ix_(c, c)]) @ served_at[c]
-        for c, recurrent in communicating_classes(phases)
-        if recurrent
+    reach = _closure(phases)
+    reached = reach[(b01 > 0.0).any(axis=0)].any(axis=0)
+    rate, slowest = min(
+        (float(stationary_pmf(phases[np.ix_(c, c)]) @ served_at[c]), c)
+        for c, recurrent in _classes(reach)
+        if recurrent and reached[c[0]]
     )
     if not rate > lam + DRIFT_TOL:
+        states = ", ".join(f"({y.s}, {y.w.name})" for y in (y_state(n, i) for i in slowest))
         raise NotStabilizableError(
             f"the policy serves {rate:.6g} per step at a nonempty queue, not more than "
-            f"the arrival rate {lam:g} by {DRIFT_TOL:g}: the queue has no stationary law"
+            f"the arrival rate {lam:g} by {DRIFT_TOL:g}: the queue has no stationary law "
+            f"(phase class {{{states}}})"
         )
     eye = np.eye(2 * n)
     try:
@@ -587,6 +595,12 @@ def _step_tables(spec: ServerSpec, theta: PolicyX, block: int) -> _StepTables:
     )
 
 
+def _symbols(sym: np.ndarray):
+    """The ranks as Python ints: iterating bytes is the cheaper way
+    when they fit in one."""
+    return sym.tobytes() if sym.dtype == np.uint8 else sym.tolist()
+
+
 def _replicate(
     tables: _StepTables,
     lam: float,
@@ -642,7 +656,7 @@ def _replicate(
         sym_b += arrival
         base = max(q - block - L, 0)
         x = x0 = (q - base) * n2 + r
-        xs = [x := x + rows[x][a][b] for a, b in zip(sym_a.tolist(), sym_b.tolist())]
+        xs = [x := x + rows[x][a][b] for a, b in zip(*map(_symbols, (sym_a, sym_b)))]
         path = np.concatenate(([x0], np.fromiter(xs, np.int64, len(xs))))  # before each step, then after the last
         q, r = divmod(xs[-1], n2)
         q += base

@@ -68,18 +68,22 @@ def _bland_min(T: np.ndarray, basis: np.ndarray, max_iter: int) -> str:
 
     The tableaus are a few dozen entries wide, so each iteration reads
     the cost row, the entering column and the rhs once as Python floats
-    and applies the rules to those; only the pivot itself runs in numpy.
+    and applies the rules to those, clamping the rhs on that list and
+    writing back only the entries it clamps; only the pivot itself runs
+    in numpy.
     """
     m = T.shape[0] - 1
     for _ in range(max_iter):
-        rhs = T[:m, -1]
-        np.copyto(rhs, 0.0, where=np.abs(rhs) < _RHS_TOL)
+        rhs = T[:m, -1].tolist()
+        for i, r in enumerate(rhs):
+            if 0.0 < abs(r) < _RHS_TOL:
+                T[i, -1] = rhs[i] = 0.0
         enter = next((j for j, r in enumerate(T[-1, :-1].tolist()) if r < -_RC_TOL), -1)
         if enter < 0:
             return "optimal"
         ratios = [
             (i, a, max(r, 0.0) / a)
-            for i, (a, r) in enumerate(zip(T[:m, enter].tolist(), rhs.tolist()))
+            for i, (a, r) in enumerate(zip(T[:m, enter].tolist(), rhs))
             if a > _PIV_TOL
         ]
         best = min([math.inf] + [q for _, _, q in ratios])
@@ -90,7 +94,7 @@ def _bland_min(T: np.ndarray, basis: np.ndarray, max_iter: int) -> str:
         for i, a, q in ratios:
             if q <= top and (leave < 0 or a > a_leave or (a == a_leave and basis[i] < basis[leave])):
                 leave, a_leave = i, a
-        if T[leave, -1] < 0.0:
+        if rhs[leave] < 0.0:
             T[leave, -1] = 0.0
         _pivot(T, basis, leave, enter)
     raise NumericalFailure("simplex iteration limit exceeded")

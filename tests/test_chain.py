@@ -12,6 +12,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from minwork.chain import (
+    BALANCE_TOL,
+    NEGATIVE_TOL,
     DaggerDecomposition,
     NonUniqueStationaryError,
     communicating_classes,
@@ -28,7 +30,7 @@ from minwork.chain import (
     threshold_rates,
     utilization_rate_y,
 )
-from minwork.model import PolicyY, ServerSpec, ybar_matrix
+from minwork.model import NumericalFailure, PolicyY, ServerSpec, ybar_matrix
 
 # (tau, service rate, utilization rate) for the five-state example
 REFERENCE_TABLE = (
@@ -105,6 +107,64 @@ def test_communicating_classes_match_definition(n, degree, seed):
     rng = np.random.default_rng(seed)
     P = rng.random((n, n)) * (rng.random((n, n)) < degree / n)
     assert communicating_classes(P) == _classes_by_search(P.tolist())
+
+
+def _stationary_by_class(P):
+    """The stationary PMF solved on the recurrent class alone, with the
+    classes found by search: the solve, cut-off, checks and scaling of
+    stationary_pmf, for every chain."""
+    classes = _classes_by_search(P.tolist())
+    recurrent = [c for c, r in classes if r]
+    if len(recurrent) != 1:
+        raise NonUniqueStationaryError(classes)
+    members = recurrent[0]
+    k = len(members)
+    A = P[np.ix_(members, members)].T - np.eye(k)
+    A[-1, :] = 1.0
+    rhs = np.zeros(k)
+    rhs[-1] = 1.0
+    pi = np.zeros(P.shape[0])
+    pi[members] = np.linalg.solve(A, rhs)
+    pi[np.abs(pi) < 1e-15] = 0.0
+    if np.any(pi < -NEGATIVE_TOL) or abs(pi.sum() - 1.0) > BALANCE_TOL:
+        raise NumericalFailure("stationary PMF fails sign or normalization checks")
+    np.maximum(pi, 0.0, out=pi)
+    pi /= pi.sum()
+    if np.max(np.abs(pi @ P - pi)) > BALANCE_TOL:
+        raise NumericalFailure("stationary PMF fails balance checks")
+    return pi
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(1, 8),
+    density=st.floats(0.0, 1.0),
+    cycle=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stationary_pmf_matches_class_restricted_solve(n, density, cycle, seed):
+    # random zero patterns give irreducible chains, chains with transient
+    # states and chains with several recurrent classes; the cycle
+    # 0 -> 1 -> ... -> 0 makes a chain irreducible. The solve on P itself
+    # equals the solve on its one recurrent class bit for bit, and both
+    # report the same partition when there is none
+    rng = np.random.default_rng(seed)
+    P = rng.random((n, n)) * (rng.random((n, n)) < density)
+    if cycle:
+        P[np.arange(n), (np.arange(n) + 1) % n] += rng.uniform(0.01, 1.0, n)
+    P[np.arange(n), np.arange(n)] += P.sum(axis=1) == 0.0
+    P /= P.sum(axis=1, keepdims=True)
+    try:
+        expect = _stationary_by_class(P)
+    except (NonUniqueStationaryError, NumericalFailure) as exc:
+        with pytest.raises(type(exc)) as err:
+            stationary_pmf(P)
+        if isinstance(exc, NonUniqueStationaryError):
+            assert err.value.classes == exc.classes
+        else:
+            assert str(err.value) == str(exc)
+        return
+    np.testing.assert_array_equal(stationary_pmf(P), expect)
 
 
 def test_threshold_policy_shape():

@@ -140,6 +140,20 @@ def test_simulate_null_recurrent_policy_exits_3(config_path, capsys, lam):
     assert f"serves {lam:g} per step at a nonempty queue, not more than the arrival rate {lam:g}" in capsys.readouterr().err
 
 
+def test_simulate_policy_with_a_non_serving_phase_class_exits_3(config_path, capsys):
+    # at eps = 0 and nu_bar = 0.16 the LP policy (0, 1, 0, 0, 0) rests at
+    # (1, A), where rho_down = 0 keeps it: a phase class that serves
+    # nothing, beside one that out-serves lambda; at nu_bar = 0.2 the
+    # policy works at (1, A), and the oracle solves it
+    assert run("simulate", "--config", config_path, "--lambda", 0.15,
+               "--eps", 0, "--nu-bar", 0.16) == 3
+    err = capsys.readouterr().err
+    assert "serves 0 per step at a nonempty queue, not more than the arrival rate 0.15" in err
+    assert "(phase class {(1, A)})" in err
+    assert run("simulate", "--config", config_path, "--lambda", 0.15,
+               "--eps", 0, "--nu-bar", 0.2, "--horizon", 1000, "--reps", 2) == 0
+
+
 @pytest.mark.parametrize("args, flag", [
     (("policy", "--lambda", 0.15, "--delta", "nan"), "--delta"),
     (("policy", "--lambda", "nan"), "--lambda"),

@@ -385,13 +385,18 @@ def test_lp_blocks_are_model_constants(spec5):
     for arr in blocks:
         assert not arr.flags.writeable
     n = spec5.n_s
-    pw, _ = _kernel_matrices(spec5)
+    pw, pr = _kernel_matrices(spec5)
     n_inv = np.linalg.inv(np.eye(n) - pw[:n, n:])
     assert np.all(n_inv >= 0.0)
     np.testing.assert_allclose(n_inv @ spec5.mu, np.ones(n), rtol=1e-13)
     np.testing.assert_allclose(work_mass, n_inv.sum(axis=1), rtol=1e-13)
     np.testing.assert_allclose(busy, pw[:n, n:] @ n_inv, rtol=1e-13, atol=1e-16)
-    assert a_eq.shape == (n + 2, 2 * n)
+    assert a_eq.shape == (n + 1, 2 * n)
+    # NV and D are row-stochastic, so the stationarity row left out at
+    # s = n_s is minus the sum of the kept ones
+    stationarity = np.hstack([(np.eye(n) - n_inv @ pw[:n, :n]).T, (np.eye(n) - pr[:n, :n]).T])
+    np.testing.assert_allclose(a_eq[2:], stationarity[:-1], rtol=1e-13, atol=1e-16)
+    np.testing.assert_allclose(stationarity[-1], -a_eq[2:].sum(axis=0), rtol=0, atol=1e-15)
     assert "_lp_blocks" not in vars(pickle.loads(pickle.dumps(spec5)))
 
 

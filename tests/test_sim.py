@@ -607,6 +607,14 @@ def test_step_loop_matches_reference(data):
 _REST = np.zeros((2, 2, 5))  # rest unless busy
 _REST[1, 1] = 1.0
 _FAST = ServerSpec(n_s=1, mu=np.array([0.9]), rho_up=np.zeros(0), rho_down=np.zeros(0))
+# all-distinct mu and rho at n_s = 8 and 312 distinct interior work
+# probabilities: both step symbols exceed 255, so they are uint16
+_WIDE_RNG = np.random.default_rng(17)
+_WIDE = ServerSpec(n_s=8, mu=_WIDE_RNG.uniform(0.05, 0.95, 8),
+                   rho_up=_WIDE_RNG.uniform(0.05, 0.95, 7), rho_down=_WIDE_RNG.uniform(0.05, 0.95, 7))
+_WIDE_TABLE = _WIDE_RNG.uniform(0.01, 0.99, (40, 2, 8))
+_WIDE_TABLE[0, 0] = 0.0
+_WIDE_TABLE[1:, 1] = 1.0
 
 
 # (spec or None for spec5, table or None for _theta5, lam, SIM_BLOCK, config, target)
@@ -626,6 +634,8 @@ _FAST = ServerSpec(n_s=1, mu=np.array([0.9]), rho_up=np.zeros(0), rho_down=np.ze
                      id="one-level-empty"),
         pytest.param(None, _REST, 1e-9, 4096, SimConfig(40, 0, 1, 16, SystemState(4, A, 3), trace=True),
                      SystemState(3, A, 3), id="one-level-q3"),
+        pytest.param(_WIDE, _WIDE_TABLE, 0.3, 7, SimConfig(60, 5, 2, 17, SystemState(2, A, 30), trace=True),
+                     SystemState(2, A, 30), id="uint16-symbols"),
     ],
 )
 def test_histogram_tallies_match_reference_on_edge_cases(spec5, spec, tbl, lam, block, cfg, target, request):
@@ -650,6 +660,9 @@ def test_histogram_tallies_match_reference_on_edge_cases(spec5, spec, tbl, lam, 
         assert q[0] == 40 and q.min() == 0
     if case.startswith("one-level"):
         assert np.all(q == q[0])
+    if case == "uint16-symbols":
+        tables = sim._step_tables(spec, theta, block)
+        assert tables.a_dtype == tables.b_dtype == np.uint16
 
 
 def test_step_tables_stay_small_and_are_built_once_per_call(monkeypatch):
