@@ -5,12 +5,16 @@ The LP minimizes the stationary probability of working subject to a
 service-rate equality, stationarity of the state-action measure, and a
 floor on the work probability at the bottom-left state. Busy states
 admit only work, so their mass is an exact linear function of the work
-mass at the available states: the LP carries the available states alone,
-2 n_s variables and n_s + 1 equality rows, one stationarity row being
-implied by the others, and rebuilds the busy mass from them. The
-frontier is the lower convex hull of the threshold-policy rate pairs
-together with the origin; the two constructions are implemented
-independently and cross-checked in tests.
+mass at the available states. Rest lowers the activity state by one
+level at most, so stationarity at the available states is a flux
+identity at each level boundary, and the rest mass above the bottom
+state is an exact, nonnegative linear function of the same work mass.
+The LP therefore carries n_s + 1 variables, the work mass at the
+available states and the rest mass at the bottom one, and two equality
+rows, service rate and total mass, and rebuilds the rest of the measure
+from them. The frontier is the lower convex hull of the threshold-policy
+rate pairs together with the origin; the two constructions are
+implemented independently and cross-checked in tests.
 """
 
 from __future__ import annotations
@@ -87,96 +91,103 @@ class LpResult:
 
 
 def _lp_blocks(spec: ServerSpec):
-    """The condensed LP's constraint rows and cost, and the map from the
-    work mass at the available states to the busy states' mass.
+    """The LP's rows and cost over [work_a | rest at s = 1], and the
+    maps from work_a to the rest mass at s >= 2 and to the busy states'
+    mass.
 
-    With W = P_W[A->B], V = P_W[A->A], D = P_R[A->A] and N = (I - W)^-1,
-    busy balance gives work_b = work_a W N, so the work mass per s is
-    work_a N. I - W is upper bidiagonal with row sums mu in (0, 1), a
-    nonsingular M-matrix, so N >= 0: N[s, s'] is the expected number of
-    steps a job started at (s, A) works at activity state s'. Since
-    (I - W) 1 = mu, N mu = 1, as each job completes once, so the service
-    rate is work_a 1. NV and D are row-stochastic, so the stationarity
-    rows of all n_s available states sum to zero and the last one is
-    left out: the rows are the service rate, total mass one and
-    stationarity at s < n_s. The spec is immutable, so the first call
-    builds the blocks and keeps them on it, read-only.
+    With W = P_W[A->B], V = P_W[A->A] and N = (I - W)^-1, busy balance
+    gives work_b = work_a W N, so the work mass per s is work_a N. I - W
+    is upper bidiagonal with row sums mu in (0, 1), a nonsingular
+    M-matrix, so N >= 0: N[s, s'] is the expected number of steps a job
+    started at (s, A) works at activity state s'. Since (I - W) 1 = mu,
+    N mu = 1, as each job completes once, so the service rate is
+    work_a 1. (NV)[s, s'] is the chance that the job completes at s'.
+
+    Rest lowers the activity state by one level at most, so stationarity
+    at the available states telescopes into a flux identity at each
+    level boundary: rho_down(s) rest_a[s] = work_a tail[:, s] with
+    tail[:, s] the sum of the columns s' >= s of NV - I. Work never
+    lowers the activity state, so tail[s', s] is the chance that a job
+    started at s' < s completes at s or above, and 0 for s' >= s. The
+    rest mass at s >= 2 is therefore work_a rest_map with rest_map =
+    tail / rho_down (rho_down > 0 there), nonnegative for every
+    work_a >= 0, so it needs no row of its own. The rows are the service
+    rate, total mass one and, for eps = 1 only, rest at s = 1 at most
+    zero. The spec is immutable, so the first call builds the blocks and
+    keeps them on it, read-only.
     """
     cached = getattr(spec, "_lp_blocks", None)
     if cached is not None:
         return cached
     n = spec.n_s
-    pw, pr = _kernel_matrices(spec)
+    pw, _ = _kernel_matrices(spec)
     eye = np.eye(n)
     visits = np.linalg.solve(eye - pw[:n, n:], eye)  # N
+    ends = visits @ pw[:n, :n]  # NV
+    # NV's row suffix sums less I's: on and below the diagonal both are 1,
+    # so tail is exactly the strict upper triangle of NV's
+    tail = np.triu(np.cumsum(ends[:, ::-1], axis=1)[:, ::-1], 1)
+    rest_map = tail[:, 1:] / spec.rho_down[1:]
     work_mass = visits.sum(axis=1)
-    # Rows over [work_a | rest_a]: the service rate, total mass one, then
-    # stationarity per available state but the last, out-mass minus the
-    # inflow of the jobs completed there and of rest.
-    a_eq = np.vstack([
-        np.concatenate([np.ones(n), np.zeros(n)]),
-        np.concatenate([work_mass, np.ones(n)]),
-        np.hstack([(eye - visits @ pw[:n, :n]).T, (eye - pr[:n, :n]).T])[:-1],
-    ])
+    rows = np.zeros((3, n + 1))
+    rows[0, :n] = 1.0
+    rows[1, :n] = work_mass + rest_map.sum(axis=1)
+    rows[1:, n] = 1.0
+    cost = np.zeros(n + 1)
+    cost[:n] = work_mass
     busy = pw[:n, n:] @ visits
-    for arr in (a_eq, work_mass, busy):
+    blocks = (rows, cost, rest_map, busy)
+    for arr in blocks:
         arr.setflags(write=False)
-    object.__setattr__(spec, "_lp_blocks", (a_eq, work_mass, busy))
-    return a_eq, work_mass, busy
+    object.__setattr__(spec, "_lp_blocks", blocks)
+    return blocks
 
 
 def solve_lp(spec: ServerSpec, nu_bar: float, eps: float) -> LpResult:
     """Minimum stationary work probability at service rate nu_bar.
 
-    Non-preemption forces work at the busy states, so their mass is a
-    linear function of the work mass at the available states and the
-    LP keeps only the variables [work_a | rest_a], 2 n_s in total, and
-    n_s + 1 rows (_lp_blocks): the service-rate equality, total mass
-    one and stationarity at every available state but the last, which
-    the others imply, with the eps-floor at (1, A). The full measure,
-    work_b included, is audited for flow balance at all 2 n_s states,
-    service rate and mass before it is returned; a miss
-    raises NumericalFailure. Infeasibility is reported, not raised;
-    the value is +inf in that case.
+    Non-preemption forces work at the busy states, and the flux across
+    each activity level boundary fixes the rest mass above s = 1, so
+    both are linear functions of the work mass at the available states.
+    The LP keeps the n_s + 1 variables [work_a | rest at s = 1] and two
+    equality rows, the service rate and total mass one (_lp_blocks),
+    with the eps-floor at (1, A). The full measure, work_b included, is
+    audited for flow balance at all 2 n_s states, service rate and mass
+    before it is returned; a miss raises NumericalFailure. Infeasibility
+    is reported, not raised; the value is +inf in that case.
     """
     if not 0.0 <= eps <= 1.0:
         raise ValueError("eps must lie in [0, 1]")
     if not 0.0 <= nu_bar < np.inf:
         raise ValueError("nu_bar must be nonnegative and finite")
     n = spec.n_s
-    rows, work_mass, busy = _lp_blocks(spec)
-    a_eq = rows.copy()
-    c = np.concatenate([work_mass, np.zeros(n)])
-    b_eq = np.zeros(n + 1)
-    b_eq[:2] = nu_bar, 1.0
+    rows, c, rest_map, busy = _lp_blocks(spec)
 
     # The floor (1-eps) l_{(1,A),W} >= eps l_{(1,A),R} is enforced by exact
     # substitution l_W = z + k l_R with k = eps/(1-eps) and z >= 0.  Passing
     # the raw inequality row instead mixes entries of size eps and 1 into the
-    # tableau and loses ~|log10 eps| digits during elimination.
-    a_ub = None
-    b_ub = None
+    # tableau and loses ~|log10 eps| digits during elimination. At eps = 1
+    # the row l_{(1,A),R} <= 0 forces the rest mass to zero outright.
     k = 0.0
+    ub = {}
     if eps >= 1.0:
-        # l_{(1,A),R} <= 0 forces the rest mass to zero outright.
-        a_ub = np.zeros((1, 2 * n))
-        a_ub[0, n] = 1.0
-        b_ub = np.zeros(1)
+        ub = {"A_ub": rows[2:], "b_ub": (0.0,)}
     elif eps > 0.0:
         k = eps / (1.0 - eps)
-        a_eq[:, n] += k * a_eq[:, 0]
+        rows, c = rows.copy(), c.copy()
+        rows[:, n] += k * rows[:, 0]
         c[n] += k * c[0]
-
-    res = solve_simplex(c, A_eq=a_eq, b_eq=b_eq, A_ub=a_ub, b_ub=b_ub)
+    res = solve_simplex(c, A_eq=rows[:2], b_eq=(nu_bar, 1.0), **ub)
     if res.status == "infeasible":
         return LpResult(value=float("inf"), measure=None, feasible=False)
     if res.status != "optimal":
         raise RuntimeError(f"occupation LP ended with status {res.status}")
-    x = np.clip(res.x, 0.0, None)
+    x = np.maximum(res.x, 0.0)
     if k > 0.0:
         x[0] += k * x[n]
     work_a = x[:n]
-    measure = OccupationMeasure(work_a=work_a, rest_a=x[n:], work_b=work_a @ busy, floor=eps)
+    rest_a = np.concatenate((x[n:], work_a @ rest_map))
+    measure = OccupationMeasure(work_a=work_a, rest_a=rest_a, work_b=work_a @ busy, floor=eps)
     for name, value in (
         ("flow residual", measure.flow_residual(spec)),
         ("service-rate residual |service rate - nu_bar|", abs(measure.service_rate(spec) - nu_bar)),

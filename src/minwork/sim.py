@@ -199,10 +199,12 @@ def truncated_stationary(spec: ServerSpec, lam: float, theta: PolicyX, q_max: in
     # locates a safely recurrent state first.  It starts from the empty
     # queue: mass started at high levels drains slowly and can leave the
     # largest entry on a state of negligible stationary mass.
+    # v @ P would transpose P on every step; transpose it once.
+    Pt = P.T
     v = np.zeros(size)
     v[:n] = 1.0 / n
     for _ in range(64):
-        v = 0.5 * (v + v @ P)
+        v = 0.5 * (v + Pt @ v)
     ref = int(np.argmax(v))
 
     off = cols != ref

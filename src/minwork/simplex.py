@@ -2,10 +2,12 @@
 
 Kept deliberately small: the programs solved here have at most a few
 dozen variables and constraints, so there is no tableau sparsity, no
-revised form, no presolve. Equalities get artificial variables in
-phase one; redundant equality rows surface as zero rows after phase one
-and are dropped. Feasibility is declared when the artificial levels
-left after phase one sum to at most `_FEAS_TOL`.
+revised form, no presolve. Phase one starts each inequality row whose
+rhs is nonnegative on its own slack; equalities and inequalities whose
+sign had to be flipped get artificial variables, and redundant equality
+rows surface as zero rows after phase one and are dropped. Feasibility
+is declared when the artificial levels left after phase one sum to at
+most `_FEAS_TOL`.
 
 The solver exists so the occupation-measure program has an independent
 code path from the convex-hull construction it is checked against; the
@@ -104,47 +106,56 @@ def solve_simplex(c, A_eq=None, b_eq=None, A_ub=None, b_ub=None) -> SimplexResul
     """min c.x subject to A_eq x = b_eq, A_ub x <= b_ub, x >= 0."""
     c = np.asarray(c, dtype=float)
     n = c.size
-    n_slack = 0
     blocks = []
-    if A_ub is not None:
-        A_ub = np.atleast_2d(np.asarray(A_ub, dtype=float))
-        b_ub = np.atleast_1d(np.asarray(b_ub, dtype=float))
-        n_slack = A_ub.shape[0]
-        blocks.append((A_ub, np.eye(n_slack), b_ub))
-    if A_eq is not None:
-        A_eq = np.atleast_2d(np.asarray(A_eq, dtype=float))
-        b_eq = np.atleast_1d(np.asarray(b_eq, dtype=float))
-        blocks.append((A_eq, np.zeros((A_eq.shape[0], n_slack)), b_eq))
-    if not blocks:
+    for a, rhs in ((A_ub, b_ub), (A_eq, b_eq)):
+        if a is not None:
+            a = np.atleast_2d(np.asarray(a, dtype=float))
+            rhs = np.atleast_1d(np.asarray(rhs, dtype=float))
+            if a.shape[1] != n or rhs.shape != (a.shape[0],):
+                raise ValueError(f"constraints of shape {a.shape} and rhs of shape {rhs.shape} do not fit {n} variables")
+            if not (np.isfinite(a).all() and np.isfinite(rhs).all()):
+                raise ValueError("constraints and rhs must be finite")
+        blocks.append((a, rhs))
+    (A_ub, b_ub), (A_eq, b_eq) = blocks
+    if A_ub is None and A_eq is None:
         raise ValueError("no constraints given")
-    for a, _, rhs in blocks:
-        if a.shape[1] != n or rhs.shape != (a.shape[0],):
-            raise ValueError(f"constraints of shape {a.shape} and rhs of shape {rhs.shape} do not fit {n} variables")
-        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(rhs))):
-            raise ValueError("constraints and rhs must be finite")
-    if not np.all(np.isfinite(c)):
+    if not np.isfinite(c).all():
         raise ValueError("cost vector must be finite")
 
-    A = np.vstack([np.hstack([a, slack]) for a, slack, _ in blocks])
-    b = np.concatenate([rhs for _, _, rhs in blocks])
+    # Rows are [A_ub | I] then [A_eq | 0] over the variables and one slack
+    # per inequality, each made to have a nonnegative rhs.
+    m_ub = 0 if A_ub is None else A_ub.shape[0]
+    m = m_ub + (0 if A_eq is None else A_eq.shape[0])
+    n_tot = n + m_ub
+    A = np.zeros((m, n_tot))
+    b = np.empty(m)
+    if m_ub:
+        A[:m_ub, :n] = A_ub
+        A[np.arange(m_ub), np.arange(n, n_tot)] = 1.0
+        b[:m_ub] = b_ub
+    if m > m_ub:
+        A[m_ub:, :n] = A_eq
+        b[m_ub:] = b_eq
     neg = b < 0.0
     A[neg] *= -1.0
     b[neg] *= -1.0
-
-    m, n_tot = A.shape
     max_iter = 200 * (m + n_tot + 10)
 
-    # Phase one: artificial basis, minimize the sum of artificials.
-    T = np.zeros((m + 1, n_tot + m + 1))
+    # Phase one minimizes the sum of the artificials. An inequality row
+    # whose rhs was already nonnegative starts on its own slack; every
+    # other row gets an artificial.
+    art = np.flatnonzero(neg | (np.arange(m) >= m_ub))
+    T = np.zeros((m + 1, n_tot + art.size + 1))
     T[:m, :n_tot] = A
-    T[:m, n_tot : n_tot + m] = np.eye(m)
     T[:m, -1] = b
-    T[-1, :n_tot] = -A.sum(axis=0)
-    T[-1, -1] = -b.sum()
-    basis = np.arange(n_tot, n_tot + m)
+    basis = np.arange(n, n + m)  # row i < m_ub on its slack, column n + i
+    basis[art] = np.arange(n_tot, n_tot + art.size)
+    T[art, basis[art]] = 1.0
+    T[-1, :n_tot] = -A[art].sum(axis=0)
+    T[-1, -1] = -b[art].sum()
 
     status = _bland_min(T, basis, max_iter)
-    if status != "optimal" or not np.all(np.isfinite(T)):
+    if status != "optimal" or not np.isfinite(T).all():
         raise NumericalFailure(f"phase-one simplex ended with status {status}")
     # the objective row accumulates rounding drift, so judge feasibility
     # by the artificial levels actually left in the basis
@@ -198,15 +209,15 @@ def solve_simplex(c, A_eq=None, b_eq=None, A_ub=None, b_ub=None) -> SimplexResul
             xb = np.linalg.solve(A[:, basis], b)
         except np.linalg.LinAlgError:
             pass
-    if xb is not None and np.all(np.isfinite(xb)):
+    if xb is not None and np.isfinite(xb).all():
         x_rep = np.zeros(n_tot)
         x_rep[basis] = xb
-        res_tab = np.max(np.abs(A @ x - b))
-        res_rep = np.max(np.abs(A @ x_rep - b))
+        res_tab = np.abs(A @ x - b).max()
+        res_rep = np.abs(A @ x_rep - b).max()
         if res_rep <= res_tab and xb.min() > -1e-9:
             x = x_rep
-    x = np.where(np.abs(x) < 1e-14, 0.0, x)
-    if not np.all(np.isfinite(x)):
+    x[np.abs(x) < 1e-14] = 0.0
+    if not np.isfinite(x).all():
         raise NumericalFailure("simplex produced non-finite solution")
 
     # audit against the original constraints; tableau arithmetic can
@@ -214,11 +225,11 @@ def solve_simplex(c, A_eq=None, b_eq=None, A_ub=None, b_ub=None) -> SimplexResul
     if x.min() < -_AUDIT_TOL:
         raise NumericalFailure(f"simplex solution has negative entry {x.min():.3e}")
     if A_eq is not None:
-        resid = float(np.max(np.abs(A_eq @ x[:n] - b_eq)))
+        resid = float(np.abs(A_eq @ x[:n] - b_eq).max())
         if resid > _AUDIT_TOL * (1.0 + float(np.abs(b_eq).max())):
             raise NumericalFailure(f"simplex equality residual {resid:.3e}")
     if A_ub is not None:
-        excess = float(np.max(A_ub @ x[:n] - b_ub))
+        excess = float((A_ub @ x[:n] - b_ub).max())
         if excess > _AUDIT_TOL * (1.0 + float(np.abs(b_ub).max())):
             raise NumericalFailure(f"simplex inequality excess {excess:.3e}")
     value = float(c @ x[:n])

@@ -166,8 +166,9 @@ def check_extraction_roundtrip(spec: ServerSpec) -> tuple:
         return False, f"LP infeasible at nu_bar={nu_ref}", {}
     phi = policy_from_occupation(res.measure)
     floor = float(phi.work_prob[0])
-    nu_phi = service_rate(spec, phi)
-    u_phi = utilization_rate_y(spec, phi)
+    pi = stationary_pmf_y(spec, phi)
+    nu_phi = service_rate(spec, phi, pi)
+    u_phi = utilization_rate_y(spec, phi, pi)
     nu_err = abs(nu_phi - nu_ref)
     u_err = abs(u_phi - res.value)
     ok = floor >= eps - 1e-12 and nu_err <= 1e-8 and u_err <= 1e-8

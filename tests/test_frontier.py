@@ -11,6 +11,7 @@ import sys
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import linprog
 
 from minwork.chain import max_service_rate, service_rate, stationary_pmf_y, utilization_rate_y
 from minwork.frontier import (
@@ -254,7 +255,7 @@ def test_frontier_on_large_random_models():
 
 
 PINNED_LP_OUTCOMES = {"feasible": 240, "infeasible": 0, "raised": 0}
-PINNED_LP_DIGEST = "a8b0caf3859ecb7fdc878cdfc45b52969d0e1d852981be3823f7d660cc266eef"
+PINNED_LP_DIGEST = "ea72ba7d8c1dd562096d52cf782568153d7a4fb933a2e259af3980f617df4ab5"
 
 
 def test_solve_lp_pinned_outputs():
@@ -337,15 +338,12 @@ def _full_lp(spec, nu_bar, eps):
     return float(c @ x)
 
 
-@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@settings(max_examples=20, deadline=None)
 @given(data=st.data())
 def test_condensed_lp_matches_full_lp(data):
-    # dropping the busy states' variables is exact: the condensed LP's
-    # measure is feasible for the full LP, its value is the full LP's,
-    # and at eps = 0 that of the hull. The draws are fixed: about one
-    # model in 6000 hits the open simplex fault (ROADMAP item 2) in the
-    # condensed LP itself, and a stored failure would then replay on
-    # every run; draw freshly again once the simplex is mended.
+    # dropping the busy states' variables and the rest above s = 1 is
+    # exact: the condensed LP's measure is feasible for the full LP, its
+    # value is the full LP's, and at eps = 0 that of the hull
     n = data.draw(st.integers(2, 6))
     unit = st.floats(0.1, 0.9)
     spec = ServerSpec(
@@ -376,49 +374,98 @@ def test_condensed_lp_matches_full_lp(data):
         assert res.value == pytest.approx(f(nu), abs=1e-9)
 
 
+@pytest.mark.parametrize("n", range(6, 11))
+def test_lp_answers_the_random_model_table(n):
+    # 10 random models per n_s, 8 rates and 3 floors: every LP answers,
+    # at the hull at eps = 0 and at or above it with a floor, and at
+    # n_s <= 8 HiGHS agrees on the full 3 n_s-variable LP with its floor
+    # passed as the raw inequality
+    rng = np.random.default_rng([2026, n])
+    for _ in range(10):
+        spec = _random_spec(rng, n)
+        f = frontier(spec)
+        for frac in np.linspace(0.1, 0.95, 8):
+            nu = float(frac * f.nu_star)
+            c, a_eq, b_eq = _full_rows(spec, nu)
+            for eps in (0.0, 1e-4, 1e-2):
+                res = solve_lp(spec, nu, eps)
+                assert res.feasible
+                if eps == 0.0:
+                    assert abs(res.value - f(nu)) <= 1e-9
+                else:
+                    assert res.value >= f(nu) - 1e-9
+                if n <= 8:
+                    floor = np.zeros((1, 3 * n))
+                    floor[0, [0, n]] = eps - 1.0, eps
+                    highs = linprog(c, A_ub=floor, b_ub=[0.0], A_eq=a_eq, b_eq=b_eq, method="highs")
+                    assert highs.status == 0 and abs(res.value - highs.fun) <= 1e-9
+
+
 def test_lp_blocks_are_model_constants(spec5):
     # built once per spec and kept read-only on it; N mu = 1, so the
     # service-rate row is the work mass at the available states
     blocks = _lp_blocks(spec5)
     assert all(a is b for a, b in zip(_lp_blocks(spec5), blocks))
-    a_eq, work_mass, busy = blocks
+    rows, cost, rest_map, busy = blocks
     for arr in blocks:
         assert not arr.flags.writeable
     n = spec5.n_s
-    pw, pr = _kernel_matrices(spec5)
+    pw, _ = _kernel_matrices(spec5)
     n_inv = np.linalg.inv(np.eye(n) - pw[:n, n:])
     assert np.all(n_inv >= 0.0)
     np.testing.assert_allclose(n_inv @ spec5.mu, np.ones(n), rtol=1e-13)
-    np.testing.assert_allclose(work_mass, n_inv.sum(axis=1), rtol=1e-13)
     np.testing.assert_allclose(busy, pw[:n, n:] @ n_inv, rtol=1e-13, atol=1e-16)
-    assert a_eq.shape == (n + 1, 2 * n)
-    # NV and D are row-stochastic, so the stationarity row left out at
-    # s = n_s is minus the sum of the kept ones
-    stationarity = np.hstack([(np.eye(n) - n_inv @ pw[:n, :n]).T, (np.eye(n) - pr[:n, :n]).T])
-    np.testing.assert_allclose(a_eq[2:], stationarity[:-1], rtol=1e-13, atol=1e-16)
-    np.testing.assert_allclose(stationarity[-1], -a_eq[2:].sum(axis=0), rtol=0, atol=1e-15)
+    # rho_down(s) rest_a[s] = work_a tail[:, s], tail[:, s] the sum of the
+    # columns s' >= s of NV - I; work never lowers the activity state, so
+    # tail is nonnegative and zero where the job starts at s or above
+    tail = np.cumsum((n_inv @ pw[:n, :n] - np.eye(n))[:, ::-1], axis=1)[:, ::-1]
+    np.testing.assert_allclose(rest_map * spec5.rho_down[1:], tail[:, 1:], rtol=1e-13, atol=1e-15)
+    assert np.all(rest_map >= 0.0) and not np.any(np.tril(rest_map, -1))
+    # rows over [work_a | rest at s = 1]: service rate, total mass, the
+    # eps = 1 row rest_a[0] <= 0; the cost is the work mass
+    assert rows.shape == (3, n + 1) and cost.shape == (n + 1,)
+    np.testing.assert_array_equal(rows[0], np.append(np.ones(n), 0.0))
+    np.testing.assert_allclose(rows[1], np.append(n_inv.sum(axis=1) + rest_map.sum(axis=1), 1.0), rtol=1e-13)
+    np.testing.assert_array_equal(rows[2], np.eye(1, n + 1, n)[0])
+    np.testing.assert_allclose(cost, np.append(n_inv.sum(axis=1), 0.0), rtol=1e-13)
+    # the rest rebuilt from any work vector, with any rest at s = 1 (a
+    # self-loop), balances every state of the full measure
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        work_a = rng.uniform(0.0, 1.0, n) * (rng.uniform(0.0, 1.0, n) < 0.6)
+        rest_a = np.concatenate([rng.uniform(0.0, 1.0, 1), work_a @ rest_map])
+        m = OccupationMeasure(work_a=work_a, rest_a=rest_a, work_b=work_a @ busy)
+        assert m.flow_residual(spec5) <= 1e-13
     assert "_lp_blocks" not in vars(pickle.loads(pickle.dumps(spec5)))
 
 
 @pytest.mark.parametrize(
     "nu_bar, scale, quantity",
     [
-        (0.22, (1.0, 1.0 + 1e-6), "flow residual"),
-        (0.22, (1.0 + 1e-6, 1.0 + 1e-6), "service-rate residual"),
-        (0.0, (1.0 + 1e-6, 1.0 + 1e-6), "mass residual"),
+        (0.22, (1.0 + 1e-6, 1.0), "flow residual"),
+        (0.22, (1.0, 1.0 + 1e-6), "service-rate residual"),
+        (0.0, (1.0, 1.0 + 1e-6), "mass residual"),
     ],
 )
 def test_lp_audit_names_the_broken_identity(spec5, monkeypatch, nu_bar, scale, quantity):
-    # a simplex answer whose rest mass, or whole mass, is off by 1e-6
-    # breaks one identity of the full measure, and solve_lp names it;
-    # at nu_bar = 0 all mass rests, so scaling it breaks the mass alone
-    good = solve_simplex
+    # scale multiplies (the rest map, the simplex answer). Rest above
+    # s = 1 off by 1e-6 breaks flow balance, which no simplex answer can:
+    # every work vector balances with its rebuilt rest. A whole answer
+    # off by 1e-6 breaks the service rate, or at nu_bar = 0, where all
+    # mass rests, the mass alone; solve_lp names the identity
+    good_blocks, good_simplex = _lp_blocks, solve_simplex
+
+    def blocks(spec):
+        rows, cost, rest_map, busy = good_blocks(spec)
+        return rows, cost, rest_map * scale[0], busy
 
     def perturbed(c, **kw):
-        x = good(c, **kw).x * np.repeat(scale, c.size // 2)
+        x = good_simplex(c, **kw).x * scale[1]
         return SimplexResult("optimal", x, float(c @ x))
 
     # the package exports a function named frontier, so fetch the module
-    monkeypatch.setattr(sys.modules["minwork.frontier"], "solve_simplex", perturbed)
+    module = sys.modules["minwork.frontier"]
+    monkeypatch.setattr(module, "_lp_blocks", blocks)
+    monkeypatch.setattr(module, "solve_simplex", perturbed)
     with pytest.raises(NumericalFailure, match=rf"occupation LP audit: {quantity} .* exceeds {MASS_TOL:g}"):
         solve_lp(spec5, nu_bar, 0.0)

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from minwork import simplex
 from minwork.simplex import SimplexResult, solve_simplex
 
 
@@ -38,6 +39,29 @@ def test_mixed_constraints():
     assert res.optimal
     np.testing.assert_allclose(res.x, [0.0, 1.0], atol=1e-12)
     assert res.value == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "c, b_ub, pivots, x",
+    [
+        # both rows start on their slacks, at the optimum: no pivot
+        ([1.0, 1.0], [4.0, 6.0], 0, [0.0, 0.0]),
+        # phase two's two pivots alone
+        ([-1.0, -1.0], [4.0, 6.0], 2, [1.6, 1.2]),
+        # the sign-flipped first row takes an artificial
+        ([-1.0, -1.0], [-4.0, 6.0], 3, [0.0, 6.0]),
+    ],
+)
+def test_inequality_rows_start_on_their_slacks(monkeypatch, c, b_ub, pivots, x):
+    # x + 2y <= 4 (or -x - 2y <= -4) and 3x + y <= 6
+    count = []
+    good = simplex._pivot
+    monkeypatch.setattr(simplex, "_pivot", lambda *a: count.append(a) or good(*a))
+    sign = np.sign(b_ub[0])
+    res = solve_simplex(c=c, A_ub=[[sign, 2.0 * sign], [3.0, 1.0]], b_ub=b_ub)
+    assert res.optimal
+    np.testing.assert_allclose(res.x, x, atol=1e-12)
+    assert len(count) == pivots
 
 
 def test_negative_rhs_is_normalized():
@@ -176,15 +200,16 @@ def _pinned_systems():
 
 
 PINNED_STATUSES = {"optimal": 316, "infeasible": 86, "unbounded": 98}
-PINNED_DIGEST = "e52343f0d3baf46c021e370d3aa4e55c011a1a57eeb4fc91fec4d6948baee101"
+PINNED_DIGEST = "c9cc9aed8af18f4844448ee1f77bc35782bc698c364504dcd5f532b1ccaa2073"
 
 
 def test_simplex_pinned_outputs():
     # Status, solution bytes and value of every system, hashed. The digest
-    # was recorded on the commit before the pricing and ratio test ran on
-    # Python floats and the pivot became one rank-1 update, and holds on
-    # both: the pivots and their floating-point operations did not change.
-    # A simplex that refactors its basis changes it and re-records it.
+    # was re-recorded when inequality rows with a nonnegative rhs began
+    # phase one on their slacks instead of on artificials: the statuses
+    # stayed, and every value and entry moved by less than 1.5e-12. A
+    # change to the pivot sequence (such as a simplex that refactors its
+    # basis) changes it and re-records it.
     h = hashlib.sha256()
     statuses = {}
     for c, A, b, ub in _pinned_systems():
