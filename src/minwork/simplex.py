@@ -9,6 +9,13 @@ rows surface as zero rows after phase one and are dropped. Feasibility
 is declared when the artificial levels left after phase one sum to at
 most `_FEAS_TOL`.
 
+A tableau is a few rows of a few dozen entries, so it is a list of
+Python float rows: numpy's per-call overhead would cost more than the
+arithmetic. Every pivot step is the same elementwise float operation
+either way. numpy forms only the matrix products, whose summation order
+it fixes: the re-solve of the final basis, the residual fits that pick
+between its levels and the tableau's, the audit and the value.
+
 The solver exists so the occupation-measure program has an independent
 code path from the convex-hull construction it is checked against; the
 two are never allowed to share geometry code.
@@ -18,6 +25,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,19 +56,22 @@ class SimplexResult:
         return self.status == "optimal"
 
 
-def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
-    """Scale the pivot row, then subtract its multiple from every other
-    row with a nonzero entry in the pivot column, as one rank-1 update;
-    rows with a zero multiplier are left untouched."""
-    T[row] /= T[row, col]
-    f = T[:, col, None].copy()
-    f[row] = 0.0
-    np.subtract(T, f * T[row], out=T, where=f != 0.0)
+def _pivot(T: list[list[float]], basis: list[int], row: int, col: int) -> None:
+    """Scale the pivot row by its pivot, then replace every other row
+    with a nonzero multiplier f in the pivot column by a - f * b, entry
+    by entry; rows with a zero multiplier are left untouched."""
+    piv = T[row][col]
+    b = T[row] = [a / piv for a in T[row]]
+    for i, r in enumerate(T):
+        f = r[col]
+        if f != 0.0 and i != row:
+            T[i] = [a - f * e for a, e in zip(r, b)]
     basis[row] = col
 
 
-def _bland_min(T: np.ndarray, basis: np.ndarray, max_iter: int) -> str:
-    """Minimize the cost row in place. Returns "optimal" or "unbounded".
+def _bland_min(T: list[list[float]], basis: list[int], max_iter: int) -> str:
+    """Minimize the cost row (the last row) in place. Returns "optimal"
+    or "unbounded".
 
     Entering column is the smallest-index column with negative reduced
     cost (Bland). The leaving row is the minimum-ratio row with ties
@@ -67,27 +79,17 @@ def _bland_min(T: np.ndarray, basis: np.ndarray, max_iter: int) -> str:
     index; rounding noise in the rhs is clamped to zero so a
     tiny-negative-over-tiny ratio cannot walk the basis infeasible.
     The iteration cap turns any residual cycling into an error.
-
-    The tableaus are a few dozen entries wide, so each iteration reads
-    the cost row, the entering column and the rhs once as Python floats
-    and applies the rules to those, clamping the rhs on that list and
-    writing back only the entries it clamps; only the pivot itself runs
-    in numpy.
     """
-    m = T.shape[0] - 1
+    m = len(T) - 1
     for _ in range(max_iter):
-        rhs = T[:m, -1].tolist()
-        for i, r in enumerate(rhs):
-            if 0.0 < abs(r) < _RHS_TOL:
-                T[i, -1] = rhs[i] = 0.0
-        enter = next((j for j, r in enumerate(T[-1, :-1].tolist()) if r < -_RC_TOL), -1)
+        for r in T[:m]:
+            if 0.0 < abs(r[-1]) < _RHS_TOL:
+                r[-1] = 0.0
+        cost = T[m]
+        enter = next((j for j in range(len(cost) - 1) if cost[j] < -_RC_TOL), -1)
         if enter < 0:
             return "optimal"
-        ratios = [
-            (i, a, max(r, 0.0) / a)
-            for i, (a, r) in enumerate(zip(T[:m, enter].tolist(), rhs))
-            if a > _PIV_TOL
-        ]
+        ratios = [(i, r[enter], max(r[-1], 0.0) / r[enter]) for i, r in enumerate(T[:m]) if r[enter] > _PIV_TOL]
         best = min([math.inf] + [q for _, _, q in ratios])
         if best == math.inf:
             return "unbounded"
@@ -96,141 +98,179 @@ def _bland_min(T: np.ndarray, basis: np.ndarray, max_iter: int) -> str:
         for i, a, q in ratios:
             if q <= top and (leave < 0 or a > a_leave or (a == a_leave and basis[i] < basis[leave])):
                 leave, a_leave = i, a
-        if rhs[leave] < 0.0:
-            T[leave, -1] = 0.0
+        if T[leave][-1] < 0.0:
+            T[leave][-1] = 0.0
         _pivot(T, basis, leave, enter)
     raise NumericalFailure("simplex iteration limit exceeded")
 
 
+def _finite(*rows: list[float]) -> bool:
+    return all(map(math.isfinite, chain.from_iterable(rows)))
+
+
+class _Block(NamedTuple):
+    """One constraint block: the arrays as given, which the final audit
+    multiplies, and the same entries as Python floats for the tableau."""
+
+    a: np.ndarray
+    rhs: np.ndarray
+    rows: list[list[float]]
+    b: list[float]
+
+
+def _block(name: str, a, rhs, n: int) -> _Block | None:
+    """Validate one constraint block: one row (1-d) or a matrix (2-d)
+    with n columns, and an rhs that is a scalar for one row or 1-d with
+    one entry per row. A block that is absent or has no rows is None."""
+    if a is None:
+        return None
+    a = np.asarray(a, dtype=float)
+    rhs = np.asarray(rhs, dtype=float)
+    if a.ndim == 1:
+        a = a[None]
+    if rhs.ndim == 0 and a.shape[:1] == (1,):
+        rhs = rhs[None]
+    if a.ndim != 2 or a.shape[1] != n or rhs.shape != a.shape[:1]:
+        raise ValueError(
+            f"{name} of shape {a.shape} and its rhs of shape {rhs.shape} do not fit {n} variables"
+            f" (want one row or a matrix of {n} columns, and one rhs entry per row)"
+        )
+    block = _Block(a, rhs, a.tolist(), rhs.tolist())
+    if not _finite(*block.rows, block.b):
+        raise ValueError("constraints and rhs must be finite")
+    return block if block.b else None
+
+
 def solve_simplex(c, A_eq=None, b_eq=None, A_ub=None, b_ub=None) -> SimplexResult:
-    """min c.x subject to A_eq x = b_eq, A_ub x <= b_ub, x >= 0."""
+    """min c.x subject to A_eq x = b_eq, A_ub x <= b_ub, x >= 0.
+
+    c is 1-d and nonempty. Each constraint block is one row (1-d) or a
+    matrix (2-d) with a column per variable, and its rhs a scalar (one
+    row) or 1-d with an entry per row; a block with no rows is absent.
+    Anything else, or a non-finite entry, raises ValueError before the
+    solve.
+    """
     c = np.asarray(c, dtype=float)
+    if c.ndim != 1 or c.size == 0:
+        raise ValueError(f"cost vector of shape {c.shape} must be 1-d and nonempty")
     n = c.size
-    blocks = []
-    for a, rhs in ((A_ub, b_ub), (A_eq, b_eq)):
-        if a is not None:
-            a = np.atleast_2d(np.asarray(a, dtype=float))
-            rhs = np.atleast_1d(np.asarray(rhs, dtype=float))
-            if a.shape[1] != n or rhs.shape != (a.shape[0],):
-                raise ValueError(f"constraints of shape {a.shape} and rhs of shape {rhs.shape} do not fit {n} variables")
-            if not (np.isfinite(a).all() and np.isfinite(rhs).all()):
-                raise ValueError("constraints and rhs must be finite")
-        blocks.append((a, rhs))
-    (A_ub, b_ub), (A_eq, b_eq) = blocks
-    if A_ub is None and A_eq is None:
+    ub = _block("A_ub", A_ub, b_ub, n)
+    eq = _block("A_eq", A_eq, b_eq, n)
+    if ub is None and eq is None:
         raise ValueError("no constraints given")
-    if not np.isfinite(c).all():
+    if not _finite(c.tolist()):
         raise ValueError("cost vector must be finite")
 
     # Rows are [A_ub | I] then [A_eq | 0] over the variables and one slack
-    # per inequality, each made to have a nonnegative rhs.
-    m_ub = 0 if A_ub is None else A_ub.shape[0]
-    m = m_ub + (0 if A_eq is None else A_eq.shape[0])
+    # per inequality, each made to have a nonnegative rhs. Phase one
+    # minimizes the sum of the artificials: an inequality row whose rhs
+    # was already nonnegative starts on its own slack, every other row
+    # gets an artificial, and the cost row is minus the sum of the
+    # artificial rows, added in row order.
+    m_ub = 0 if ub is None else len(ub.b)
     n_tot = n + m_ub
-    A = np.zeros((m, n_tot))
-    b = np.empty(m)
-    if m_ub:
-        A[:m_ub, :n] = A_ub
-        A[np.arange(m_ub), np.arange(n, n_tot)] = 1.0
-        b[:m_ub] = b_ub
-    if m > m_ub:
-        A[m_ub:, :n] = A_eq
-        b[m_ub:] = b_eq
-    neg = b < 0.0
-    A[neg] *= -1.0
-    b[neg] *= -1.0
+    rows, rhs = [], []
+    if ub is not None:
+        rows += [row + [0.0] * i + [1.0] + [0.0] * (m_ub - 1 - i) for i, row in enumerate(ub.rows)]
+        rhs += ub.b
+    if eq is not None:
+        rows += [row + [0.0] * m_ub for row in eq.rows]
+        rhs += eq.b
+    A, b, art = [], [], []
+    for i, (row, r) in enumerate(zip(rows, rhs)):
+        if r < 0.0 or i >= m_ub:
+            art.append(i)
+        if r < 0.0:
+            row, r = [-a for a in row], -r
+        A.append(row)
+        b.append(r)
+    m = len(A)
     max_iter = 200 * (m + n_tot + 10)
-
-    # Phase one minimizes the sum of the artificials. An inequality row
-    # whose rhs was already nonnegative starts on its own slack; every
-    # other row gets an artificial.
-    art = np.flatnonzero(neg | (np.arange(m) >= m_ub))
-    T = np.zeros((m + 1, n_tot + art.size + 1))
-    T[:m, :n_tot] = A
-    T[:m, -1] = b
-    basis = np.arange(n, n + m)  # row i < m_ub on its slack, column n + i
-    basis[art] = np.arange(n_tot, n_tot + art.size)
-    T[art, basis[art]] = 1.0
-    T[-1, :n_tot] = -A[art].sum(axis=0)
-    T[-1, -1] = -b[art].sum()
+    basis = list(range(n, n + m))  # row i < m_ub on its slack, column n + i
+    T = [row + [0.0] * len(art) + [r] for row, r in zip(A, b)]
+    total = [0.0] * (n_tot + 1)
+    for k, i in enumerate(art):
+        basis[i] = n_tot + k
+        T[i][n_tot + k] = 1.0
+        total = [s + a for s, a in zip(total, A[i] + [b[i]])]
+    T.append([-s for s in total[:n_tot]] + [0.0] * len(art) + [-total[-1]])
 
     status = _bland_min(T, basis, max_iter)
-    if status != "optimal" or not np.isfinite(T).all():
+    if status != "optimal" or not _finite(*T):
         raise NumericalFailure(f"phase-one simplex ended with status {status}")
     # the objective row accumulates rounding drift, so judge feasibility
     # by the artificial levels actually left in the basis
-    phase1 = sum(max(r, 0.0) for r, j in zip(T[:m, -1].tolist(), basis.tolist()) if j >= n_tot)
+    phase1 = sum(max(r[-1], 0.0) for r, j in zip(T, basis) if j >= n_tot)
     if phase1 > _FEAS_TOL:
         return SimplexResult("infeasible", None, None)
 
     # Drive artificials out of the basis; a row with no real pivot
     # candidate is a redundant constraint and is dropped, from the tableau
     # and from A alike, so the rows of A stay aligned with the tableau's.
-    drop = []
+    drop = set()
     for i in range(m):
         if basis[i] >= n_tot:
-            cand = np.flatnonzero(np.abs(T[i, :n_tot]) > _PIV_TOL)
-            if cand.size == 0:
-                drop.append(i)
+            col = next((j for j, a in enumerate(T[i][:n_tot]) if abs(a) > _PIV_TOL), -1)
+            if col < 0:
+                drop.add(i)
             else:
-                _pivot(T, basis, i, int(cand[0]))
+                _pivot(T, basis, i, col)
     if drop:
-        keep = [i for i in range(m) if i not in set(drop)]
-        T = T[keep + [m]]
-        basis = basis[keep]
-        A, b = A[keep], b[keep]
+        keep = [i for i in range(m) if i not in drop]
+        T = [T[i] for i in keep]
+        basis = [basis[i] for i in keep]
+        A, b = [A[i] for i in keep], [b[i] for i in keep]
         m = len(keep)
 
-    # Phase two on the original columns only.
-    T2 = np.zeros((m + 1, n_tot + 1))
-    T2[:m, :n_tot] = T[:m, :n_tot]
-    T2[:m, -1] = T[:m, -1]
-    cost = np.zeros(n_tot)
-    cost[:n] = c
-    T2[-1, :n_tot] = cost
-    # reduce the cost row against the current basis
-    for i, cb in enumerate(cost[basis].tolist()):
+    # Phase two on the original columns only, with the cost row reduced
+    # against the current basis.
+    cost = c.tolist() + [0.0] * m_ub
+    T2 = [r[:n_tot] + r[-1:] for r in T[:m]]
+    T2.append(cost + [0.0])
+    for i, j in enumerate(basis):
+        cb = cost[j]
         if cb != 0.0:
-            T2[-1] -= cb * T2[i]
+            T2[-1] = [a - cb * e for a, e in zip(T2[-1], T2[i])]
     status = _bland_min(T2, basis, max_iter)
     if status == "unbounded":
         return SimplexResult("unbounded", None, None)
-
-    x = np.zeros(n_tot)
-    x[basis] = T2[:m, -1]
+    levels = [0.0] * n_tot
+    for j, r in zip(basis, T2):
+        levels[j] = r[-1]
 
     # The tableau accumulates elimination error over many pivots while
     # the basis itself stays reliable, so re-solve the basic system from
     # the untouched constraint data and keep whichever levels satisfy
     # the kept rows better.
-    xb = None
     if m > 0:
+        A, b = np.array(A), np.array(b)
         try:
-            xb = np.linalg.solve(A[:, basis], b)
+            xb = np.linalg.solve(A.take(basis, axis=1), b).tolist()
         except np.linalg.LinAlgError:
-            pass
-    if xb is not None and np.isfinite(xb).all():
-        x_rep = np.zeros(n_tot)
-        x_rep[basis] = xb
-        res_tab = np.abs(A @ x - b).max()
-        res_rep = np.abs(A @ x_rep - b).max()
-        if res_rep <= res_tab and xb.min() > -1e-9:
-            x = x_rep
-    x[np.abs(x) < 1e-14] = 0.0
-    if not np.isfinite(x).all():
+            xb = None
+        if xb is not None and _finite(xb) and min(xb) > -1e-9:
+            rep = [0.0] * n_tot
+            for j, v in zip(basis, xb):
+                rep[j] = v
+            if np.abs(A @ np.array(rep) - b).max() <= np.abs(A @ np.array(levels) - b).max():
+                levels = rep
+    levels = [0.0 if abs(v) < 1e-14 else v for v in levels]
+    if not _finite(levels):
         raise NumericalFailure("simplex produced non-finite solution")
 
     # audit against the original constraints; tableau arithmetic can
     # decay silently and a wrong "optimum" is worse than an error
-    if x.min() < -_AUDIT_TOL:
-        raise NumericalFailure(f"simplex solution has negative entry {x.min():.3e}")
-    if A_eq is not None:
-        resid = float(np.abs(A_eq @ x[:n] - b_eq).max())
-        if resid > _AUDIT_TOL * (1.0 + float(np.abs(b_eq).max())):
+    lowest = min(levels)
+    if lowest < -_AUDIT_TOL:
+        raise NumericalFailure(f"simplex solution has negative entry {lowest:.3e}")
+    x = np.array(levels[:n])
+    if eq is not None:
+        resid = float(np.abs(eq.a @ x - eq.rhs).max())
+        if resid > _AUDIT_TOL * (1.0 + max(map(abs, eq.b))):
             raise NumericalFailure(f"simplex equality residual {resid:.3e}")
-    if A_ub is not None:
-        excess = float((A_ub @ x[:n] - b_ub).max())
-        if excess > _AUDIT_TOL * (1.0 + float(np.abs(b_ub).max())):
+    if ub is not None:
+        excess = float((ub.a @ x - ub.rhs).max())
+        if excess > _AUDIT_TOL * (1.0 + max(map(abs, ub.b))):
             raise NumericalFailure(f"simplex inequality excess {excess:.3e}")
-    value = float(c @ x[:n])
-    return SimplexResult("optimal", x[:n], value)
+    value = float(c @ x)
+    return SimplexResult("optimal", x, value)

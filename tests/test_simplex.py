@@ -130,6 +130,57 @@ def test_rejects_constraints_of_the_wrong_width():
         solve_simplex(c=[1.0, 1.0], A_ub=[[1.0, 1.0]], b_ub=[1.0, 2.0])
 
 
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"c": 1.0}, r"cost vector of shape \(\) must be 1-d"),
+        ({"c": [[1.0, 2.0]]}, r"cost vector of shape \(1, 2\) must be 1-d"),
+        ({"c": []}, r"cost vector of shape \(0,\) must be 1-d and nonempty"),
+        ({"A_eq": np.ones((1, 2, 2))}, r"A_eq of shape \(1, 2, 2\)"),
+        ({"A_eq": 1.0, "b_eq": 1.0}, r"A_eq of shape \(\)"),
+        ({"A_eq": [[1.0, 1.0], [1.0, 0.0]], "b_eq": 1.0}, r"rhs of shape \(\) do not fit"),
+        ({"b_eq": [[1.0]]}, r"rhs of shape \(1, 1\) do not fit"),
+        ({"A_eq": np.zeros((0, 3)), "b_eq": []}, r"A_eq of shape \(0, 3\)"),
+        ({"A_eq": np.zeros((0, 2)), "b_eq": []}, "no constraints given"),
+        ({"A_eq": None, "A_ub": np.zeros((0, 2)), "b_ub": []}, "no constraints given"),
+    ],
+    ids=["c-0d", "c-2d", "c-empty", "A-3d", "A-0d", "rhs-0d-two-rows", "rhs-2d", "empty-wrong-width", "empty-eq", "empty-ub"],
+)
+def test_rejects_malformed_input_up_front(data, message):
+    # each of these used to fail inside the solve, or after it, with
+    # numpy's own error; a block with zero rows counts as absent
+    kwargs = {"c": [1.0, 1.0], "A_eq": [[1.0, 1.0]], "b_eq": [1.0]} | data
+    with pytest.raises(ValueError, match=message):
+        solve_simplex(**kwargs)
+
+
+def test_empty_block_is_absent():
+    ub = {"c": [-1.0, -1.0], "A_ub": [[1.0, 2.0], [3.0, 1.0]], "b_ub": [4.0, 6.0]}
+    alone, beside = solve_simplex(**ub), solve_simplex(**ub, A_eq=np.zeros((0, 2)), b_eq=[])
+    assert alone.optimal and beside.optimal
+    assert beside.x.tobytes() == alone.x.tobytes() and beside.value == alone.value
+    # one row may be given as a 1-d array with a scalar rhs
+    row = solve_simplex(c=[1.0, 1.0], A_eq=[1.0, 2.0], b_eq=4.0)
+    np.testing.assert_allclose(row.x, [0.0, 2.0], atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "data, x",
+    [
+        ({"c": [-1.0], "A_ub": [[1e-7]], "b_ub": [1.0]}, [1e7]),
+        ({"c": [0.0, 0.0], "A_eq": [[1.0, 1e-7], [1.0, 0.0]], "b_eq": [1.0, 0.0]}, [0.0, 1e7]),
+    ],
+)
+def test_long_steps_are_not_capped(data, x):
+    # the optimum lies 1e7 out along a column; a simplex that caps its
+    # step at some multiple of the starting levels reports these
+    # "unbounded" and "infeasible"
+    res = solve_simplex(**data)
+    assert res.optimal
+    np.testing.assert_allclose(res.x, x, rtol=1e-12)
+    assert res.value == pytest.approx(float(np.dot(data["c"], x)), rel=1e-12)
+
+
 @pytest.mark.parametrize("bad", ["c", "A_eq", "b_eq", "A_ub", "b_ub"])
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 def test_rejects_non_finite_data(bad, value):
