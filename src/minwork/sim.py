@@ -27,9 +27,13 @@ so neither do the results. Each event happens when its uniform is below
 a probability: a work probability, mu(s), rho_up(s) or rho_down(s), or
 lam. numpy ranks each block's uniforms by counting the distinct
 probabilities strictly inside (0, 1) at or below them, which makes
-exactly those comparisons, and the step loop then moves the state by
-two table lookups on the ranks (_step_tables). The block's tallies come
-from one histogram of the states it visits.
+exactly those comparisons, and folds a step's ranks into one symbol.
+Where that symbol fits in a byte, the step loop moves the state two
+steps per table lookup, on the symbols of an even and an odd step, and
+one vectorized lookup fills in the states between; otherwise it moves
+one step per lookup, on the action rank and the rest of the symbol
+(_step_tables). The block's tallies come from one histogram of the
+states it visits.
 """
 
 from __future__ import annotations
@@ -61,6 +65,7 @@ DRIFT_TOL = 1e-12  # a service rate within this of lam is lam: the drift test's 
 QBD_BALANCE_TOL = 1e-12
 NORMALIZATION_TOL = 1e-10
 SIM_BLOCK = 4096  # steps of uniforms drawn at once; the stream is the same for any block size
+PAIR_SLOTS = 1 << 17  # most list slots of two-step rows; past it the step loop takes one step per lookup
 CAP_TAIL_TOL = 1e-10  # mass at the cap that truncated_stationary_auto accepts
 Q_CAP = 1 << 17  # largest cap truncated_stationary_auto tries
 
@@ -459,11 +464,19 @@ class SimConfig:
     trace: bool = False
 
     def __post_init__(self):
+        fields = {"horizon": self.horizon, "replications": self.replications, "seed": self.seed}
+        if self.burn_in is not None:
+            fields["burn_in"] = self.burn_in
+        for name, value in fields.items():
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, not {value!r}")
         burn = self.horizon // 10 if self.burn_in is None else self.burn_in
         if not (self.horizon > burn >= 0):
             raise ValueError("need horizon > burn_in >= 0")
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, not {self.seed}")
         object.__setattr__(self, "burn_in", burn)
         if self.initial_state is None:
             object.__setattr__(self, "initial_state", SystemState(1, Availability.A, 0))
@@ -530,11 +543,19 @@ class _StepTables:
     thresholds t <= u, so u < t[j] exactly when the rank is <= j. Per
     step, the symbol a is the rank of the action uniform, and b folds
     the ranks of the completion and move uniforms with the arrival,
-    b = 2 ((rank in done) (len(move) + 1) + rank in move) + arrival.
-    rows[x][a] is the outcome family of the step, rest or work at
-    (w, s), one of 4 n_s; its entry b is the change of x. rows covers
-    2 block + L + 1 levels: levels 0..L-1 their own, the rest the one
-    list of rows of level L, which holds for every q >= L.
+    b = 2 ((rank in done) (len(move) + 1) + rank in move) + arrival;
+    c = a nb + b folds both, nb the number of b symbols.
+
+    When c fits in a byte and the two-step rows hold at most PAIR_SLOTS
+    list slots, rows[x][c1][c2] is the change of x over two steps with
+    symbols c1 then c2, and step[min(level, L) 2 n_s + r, c] is the
+    change over one. rows covers 2 block + L + 2 levels: levels 0..L
+    their own, the rest the one list of rows of level L + 1, where both
+    steps act as at level L. Otherwise step is None and rows[x][a] is
+    the outcome family of one step, rest or work at (w, s), one of
+    4 n_s, whose entry b is the change of x; rows covers 2 block + L + 1
+    levels: levels 0..L-1 their own, the rest the one list of rows of
+    level L, which holds for every q >= L.
     """
 
     n_s: int
@@ -546,6 +567,7 @@ class _StepTables:
     a_dtype: np.dtype  # the narrowest unsigned dtypes that hold a and b
     b_dtype: np.dtype
     rows: list
+    step: np.ndarray | None  # int64, ((L + 1) 2 n_s, na nb), with two-step rows
 
 
 def _thresholds(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -556,8 +578,40 @@ def _thresholds(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return values[(values > 0.0) & (values < 1.0)], index.reshape(p.shape) - int(values[0] == 0.0)
 
 
+def _shared_lists(rows, lo: int, hi: int) -> list:
+    """Each int array of rows, with entries in lo..hi, as a list that
+    shares one int object per distinct value with the others: Python
+    keeps no cached ints outside [-5, 256], and one per entry took 60 MB
+    at n_s = 50 with all-distinct mu and rho."""
+    shared = list(range(lo, hi + 1))
+    return [list(map(shared.__getitem__, (row - lo).tolist())) for row in rows]
+
+
+def _pair_rows(step: np.ndarray, n2: int, L: int) -> list | None:
+    """The two-step rows of levels 0..L + 1 from the one-step table, or
+    None when they would hold more than PAIR_SLOTS list slots.
+
+    The pair (c1, c2) from x first moves x to x' = x + d, d =
+    step[x, c1], then adds step[x', c2], so (d, row of x') fixes the
+    inner list over c2; equal inner lists are one list. x' < 0 only
+    from the busy rows of level 0, which are no state.
+    """
+    top = L * n2  # the first state of level L, whose row every higher level uses
+    x = np.arange(top + 2 * n2)
+    d = step[np.minimum(x, top + x % n2)]
+    x = np.maximum(x[:, None] + d, 0)
+    d_lo, width = int(d.min()), top + n2
+    keys, inverse = np.unique((d - d_lo) * width + np.minimum(x, top + x % n2), return_inverse=True)
+    if inverse.size + keys.size * step.shape[1] > PAIR_SLOTS:
+        return None
+    inner = keys[:, None] // width + d_lo + step[keys % width]
+    inner = _shared_lists(inner, int(inner.min()), int(inner.max()))
+    return [list(map(inner.__getitem__, row)) for row in inverse.reshape(x.shape[0], -1).tolist()]
+
+
 def _step_tables(spec: ServerSpec, theta: PolicyX, block: int) -> _StepTables:
     n, L = spec.n_s, theta.table.shape[0] - 1
+    n2 = 2 * n
     act, j_act = _thresholds(theta.table)
     done, j_done = _thresholds(spec.mu)
     move, (j_up, j_down) = _thresholds(np.stack([spec.rho_up, spec.rho_down]))
@@ -571,29 +625,33 @@ def _step_tables(spec: ServerSpec, theta: PolicyX, block: int) -> _StepTables:
     rest = arrival * 2 * n - w_axis * n - down
     work = (arrival - completes) * 2 * n + (1 - completes - w_axis) * n + up
     shape = (2, n, done.size + 1, move.size + 1, 2)
-    # One int object per distinct change, shared by every entry: Python
-    # keeps no cached ints outside [-5, 256], and one per entry took 60 MB
-    # at n_s = 50 with all-distinct mu and rho.
-    lo = int(min(rest.min(), work.min()))
-    shared = list(range(lo, int(max(rest.max(), work.max())) + 1))
-    positions = (np.broadcast_to(o - lo, shape) for o in (rest, work))  # of each change in shared
-    families = [
-        list(map(shared.__getitem__, index[w, s].ravel().tolist()))
-        for index in positions for w in range(2) for s in range(n)
-    ]
+    nb = 2 * (done.size + 1) * (move.size + 1)
+    nc = (act.size + 1) * nb
 
-    # per level 0..L, w and s: the family per action rank
-    level_rows = [
-        [families[(2 + w) * n + s]] * (j + 1) + [families[w * n + s]] * (act.size - j)
-        for (_, w, s), j in np.ndenumerate(j_act)
-    ]
-    top = level_rows[2 * n * L :]
+    step = rows = None
+    if nc <= 256 and (L + 2) * n2 * nc <= PAIR_SLOTS:
+        changes = np.stack([np.broadcast_to(o, shape) for o in (rest, work)]).reshape(2 * n2, nb)
+        # per level 0..L, w and s: the family o 2 n_s + w n_s + s per action rank
+        family = np.where(np.arange(act.size + 1) <= j_act[..., None], n2, 0) + np.arange(n2).reshape(2, n, 1)
+        step = changes[family].reshape(-1, nc)
+        rows = _pair_rows(step, n2, L)
+    if rows is None:
+        step = None
+        families = _shared_lists(
+            (np.broadcast_to(o, shape)[w, s].ravel() for o in (rest, work) for w in range(2) for s in range(n)),
+            int(min(rest.min(), work.min())), int(max(rest.max(), work.max())),
+        )
+        # per level 0..L, w and s: the family per action rank
+        rows = [
+            [families[(2 + w) * n + s]] * (j + 1) + [families[w * n + s]] * (act.size - j)
+            for (_, w, s), j in np.ndenumerate(j_act)
+        ]
+    top = rows[L * n2 :] if step is None else rows[(L + 1) * n2 :]
     for _ in range(2 * block):  # one extension at a time keeps the peak low
-        level_rows += top
-    b_max = 2 * (done.size + 1) * (move.size + 1) - 1
+        rows += top
     return _StepTables(
         n, L, block, act.tolist(), done.tolist(), move.tolist(),
-        np.min_scalar_type(act.size), np.min_scalar_type(b_max), level_rows,
+        np.min_scalar_type(act.size), np.min_scalar_type(nb - 1), rows, step,
     )
 
 
@@ -618,7 +676,11 @@ def _replicate(
 
     Each block of up to tables.block steps draws its uniforms at once
     and ranks each column by counting the thresholds at or below it, so
-    the loop only sets x += rows[x][a][b] and records x per step. The
+    the loop only sets x += rows[x][s1][s2] and records x. With two-step
+    rows, (s1, s2) are the folded symbols of steps 2k and 2k + 1, and
+    one lookup in tables.step then gives the states after the even
+    steps; an odd block pads its last pair with a step that is thrown
+    away. With one-step rows, (s1, s2) = (a, b) of each step. The
     block's base is its start level less block + L, or 0, so its rows
     cover every level the block can reach. The tallies come from one
     histogram of the block's counted states over (level, w, s); the
@@ -633,7 +695,7 @@ def _replicate(
     shape (cfg.horizon, 7), writes row k as (k, s, w, q, work, arrival,
     completion).
     """
-    n, L, block, rows = tables.n_s, tables.levels, tables.block, tables.rows
+    n, L, block, rows, step = tables.n_s, tables.levels, tables.block, tables.rows, tables.step
     n2, move_ranks = 2 * n, len(tables.move) + 1
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(cfg.seed, spawn_key=(rep,))))
     q, r = start.q, int(start.w) * n + start.s - 1  # r = w n + s - 1, the reduced state
@@ -644,10 +706,12 @@ def _replicate(
     for k0 in range(0, cfg.horizon, block):
         # columns: action, completion, arrival, move
         u = np.ascontiguousarray(rng.random((min(block, cfg.horizon - k0), 4)).T)
-        sym_a = np.zeros(u.shape[1], tables.a_dtype)
+        m = u.shape[1]
+        sym_a = np.zeros(m, tables.a_dtype)
         for t in tables.act:
             sym_a += u[0] >= t
-        sym_b = np.zeros(u.shape[1], tables.b_dtype)
+        # with two-step rows, sym_b folds a in too: c = a nb + b, one byte
+        sym_b = np.zeros(m, tables.b_dtype) if step is None else sym_a * (len(tables.done) + 1)
         for t in tables.done:
             sym_b += u[1] >= t
         sym_b *= move_ranks
@@ -656,14 +720,27 @@ def _replicate(
         sym_b *= 2
         arrival = u[2] < lam
         sym_b += arrival
+        if step is None:
+            pairs = zip(*map(_symbols, (sym_a, sym_b)))
+        else:  # an odd block ends with a step whose outcome is thrown away
+            c = sym_b.tobytes() + bytes(m % 2)
+            pairs = zip(c[::2], c[1::2])
         base = max(q - block - L, 0)
         x = x0 = (q - base) * n2 + r
-        xs = [x := x + rows[x][a][b] for a, b in zip(*map(_symbols, (sym_a, sym_b)))]
-        path = np.concatenate(([x0], np.fromiter(xs, np.int64, len(xs))))  # before each step, then after the last
-        q, r = divmod(xs[-1], n2)
+        xs = [x := x + rows[x][s1][s2] for s1, s2 in pairs]
+        if step is None:
+            path = np.concatenate(([x0], np.fromiter(xs, np.int64, m)))  # before each step, then after the last
+        else:
+            path = np.empty(m + 1, np.int64)
+            path[0] = x0
+            path[2::2] = np.fromiter(xs, np.int64, m // 2)
+            # the states after the even steps, from the states before them
+            before = path[:m:2]
+            path[1::2] = before + step[np.minimum(before, L * n2 + before % n2), sym_b[::2]]
+        q, r = divmod(int(path[-1]), n2)
         q += base
         i = max(burn - k0, 0)
-        if i < len(xs):
+        if i < m:
             counted = path[i:-1]
             lo, hi = int(counted.min()) // n2, int(counted.max()) // n2
             hist = np.bincount(counted - lo * n2, minlength=(hi - lo + 1) * n2).reshape(-1, n2)
@@ -686,10 +763,10 @@ def _replicate(
                 gaps.append(np.diff(times, prepend=last))
                 last = int(times[-1])
         if trace is not None:
-            steps = trace[k0 : k0 + len(xs)]
+            steps = trace[k0 : k0 + m]
             q_now, r_now = np.divmod(path, n2)
             q_now += base
-            steps[:, 0] = np.arange(k0, k0 + len(xs))
+            steps[:, 0] = np.arange(k0, k0 + m)
             steps[:, 2], steps[:, 1] = np.divmod(r_now[:-1], n)
             steps[:, 1] += 1
             steps[:, 3] = q_now[:-1]

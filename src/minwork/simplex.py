@@ -33,13 +33,15 @@ import numpy as np
 from .model import NumericalFailure
 
 # Reduced costs within _RC_TOL of zero count as zero; pivots smaller
-# than _PIV_TOL are treated as structurally zero; rhs entries smaller
-# than _RHS_TOL are rounding noise from degenerate pivots. Phase one
+# than _PIV_TOL are treated as structurally zero; a pivot may leave a
+# row's rhs up to _STEP_TOL below zero; an rhs that a pivot takes below
+# _RHS_TOL times its old size is rounding noise. Phase one
 # is feasible when the artificials left sum to at most _FEAS_TOL. The
 # returned point may dip below zero by at most _AUDIT_TOL and miss the
 # original constraints by at most _AUDIT_TOL * (1 + largest |rhs|).
 _RC_TOL = 1e-10
 _PIV_TOL = 1e-11
+_STEP_TOL = 1e-12
 _RHS_TOL = 1e-13
 _FEAS_TOL = 1e-9
 _AUDIT_TOL = 1e-8
@@ -59,44 +61,60 @@ class SimplexResult:
 def _pivot(T: list[list[float]], basis: list[int], row: int, col: int) -> None:
     """Scale the pivot row by its pivot, then replace every other row
     with a nonzero multiplier f in the pivot column by a - f * b, entry
-    by entry; rows with a zero multiplier are left untouched."""
+    by entry; rows with a zero multiplier are left untouched. A
+    constraint row whose rhs the step cancels to below _RHS_TOL times its
+    old size is left with rounding noise, which is set to zero. The pivot
+    row, the cost row (the last) and untouched rows keep their rhs,
+    however small: a small rhs in the data is not noise."""
     piv = T[row][col]
     b = T[row] = [a / piv for a in T[row]]
+    last = len(T) - 1
     for i, r in enumerate(T):
         f = r[col]
         if f != 0.0 and i != row:
-            T[i] = [a - f * e for a, e in zip(r, b)]
+            old = r[-1]
+            r = T[i] = [a - f * e for a, e in zip(r, b)]
+            if i != last and 0.0 < abs(r[-1]) < _RHS_TOL * abs(old):
+                r[-1] = 0.0
     basis[row] = col
 
 
-def _bland_min(T: list[list[float]], basis: list[int], max_iter: int) -> str:
+def _bland_min(T: list[list[float]], basis: list[int], max_iter: int, bounded: bool = False) -> str:
     """Minimize the cost row (the last row) in place. Returns "optimal"
     or "unbounded".
 
     Entering column is the smallest-index column with negative reduced
-    cost (Bland). The leaving row is the minimum-ratio row with ties
-    broken toward the largest pivot element, then the smallest basic
-    index; rounding noise in the rhs is clamped to zero so a
+    cost (Bland). The leaving row comes from Harris's two passes: the
+    longest step that leaves no row more than _STEP_TOL below zero, then
+    among the rows whose ratio fits in that step the largest pivot
+    element, then the smallest basic index. Rounding noise in a tiny rhs
+    over a tiny pivot cannot then outrank a clean row of the same true
+    ratio, and a near-tie with a large rhs cannot pick a row whose true
+    ratio is longer. A negative rhs counts as zero, so a
     tiny-negative-over-tiny ratio cannot walk the basis infeasible.
     The iteration cap turns any residual cycling into an error.
+
+    With `bounded` the objective is known to be bounded below, as phase
+    one's is, so an entering column without a pivot only has rounding
+    noise for a reduced cost: that cost is set to zero and the search
+    goes on.
     """
     m = len(T) - 1
     for _ in range(max_iter):
-        for r in T[:m]:
-            if 0.0 < abs(r[-1]) < _RHS_TOL:
-                r[-1] = 0.0
         cost = T[m]
         enter = next((j for j in range(len(cost) - 1) if cost[j] < -_RC_TOL), -1)
         if enter < 0:
             return "optimal"
-        ratios = [(i, r[enter], max(r[-1], 0.0) / r[enter]) for i, r in enumerate(T[:m]) if r[enter] > _PIV_TOL]
-        best = min([math.inf] + [q for _, _, q in ratios])
-        if best == math.inf:
+        ratios = [(i, r[enter], max(r[-1], 0.0)) for i, r in enumerate(T[:m]) if r[enter] > _PIV_TOL]
+        if not ratios:
+            if bounded:
+                cost[enter] = 0.0
+                continue
             return "unbounded"
+        top = min((r + _STEP_TOL) / a for _, a, r in ratios)
         leave, a_leave = -1, 0.0
-        top = best + (1e-12 + 1e-9 * best)
-        for i, a, q in ratios:
-            if q <= top and (leave < 0 or a > a_leave or (a == a_leave and basis[i] < basis[leave])):
+        for i, a, r in ratios:
+            if r / a <= top and (leave < 0 or a > a_leave or (a == a_leave and basis[i] < basis[leave])):
                 leave, a_leave = i, a
         if T[leave][-1] < 0.0:
             T[leave][-1] = 0.0
@@ -124,6 +142,8 @@ def _block(name: str, a, rhs, n: int) -> _Block | None:
     one entry per row. A block that is absent or has no rows is None."""
     if a is None:
         return None
+    if rhs is None:  # np.asarray(None, dtype=float) is NaN
+        raise ValueError(f"{name} is given without its rhs b_{name[2:]}")
     a = np.asarray(a, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
     if a.ndim == 1:
@@ -147,8 +167,8 @@ def solve_simplex(c, A_eq=None, b_eq=None, A_ub=None, b_ub=None) -> SimplexResul
     c is 1-d and nonempty. Each constraint block is one row (1-d) or a
     matrix (2-d) with a column per variable, and its rhs a scalar (one
     row) or 1-d with an entry per row; a block with no rows is absent.
-    Anything else, or a non-finite entry, raises ValueError before the
-    solve.
+    Anything else, a block without its rhs, or a non-finite entry,
+    raises ValueError before the solve.
     """
     c = np.asarray(c, dtype=float)
     if c.ndim != 1 or c.size == 0:
@@ -195,7 +215,7 @@ def solve_simplex(c, A_eq=None, b_eq=None, A_ub=None, b_ub=None) -> SimplexResul
         total = [s + a for s, a in zip(total, A[i] + [b[i]])]
     T.append([-s for s in total[:n_tot]] + [0.0] * len(art) + [-total[-1]])
 
-    status = _bland_min(T, basis, max_iter)
+    status = _bland_min(T, basis, max_iter, bounded=True)
     if status != "optimal" or not _finite(*T):
         raise NumericalFailure(f"phase-one simplex ended with status {status}")
     # the objective row accumulates rounding drift, so judge feasibility
@@ -207,6 +227,10 @@ def solve_simplex(c, A_eq=None, b_eq=None, A_ub=None, b_ub=None) -> SimplexResul
     # Drive artificials out of the basis; a row with no real pivot
     # candidate is a redundant constraint and is dropped, from the tableau
     # and from A alike, so the rows of A stay aligned with the tableau's.
+    # The level an artificial is left at is rounding noise, as feasibility
+    # was just declared, so it is zeroed first: the pivot is then
+    # degenerate, and a negative pivot entry cannot carry that noise into
+    # a negative level of the entering column.
     drop = set()
     for i in range(m):
         if basis[i] >= n_tot:
@@ -214,6 +238,7 @@ def solve_simplex(c, A_eq=None, b_eq=None, A_ub=None, b_ub=None) -> SimplexResul
             if col < 0:
                 drop.add(i)
             else:
+                T[i][-1] = 0.0
                 _pivot(T, basis, i, col)
     if drop:
         keep = [i for i in range(m) if i not in drop]

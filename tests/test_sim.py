@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from minwork import sim
-from minwork.chain import service_rate, threshold_policy
+from minwork.chain import max_service_rate, service_rate, threshold_policy
 from minwork.frontier import NotStabilizableError, policy_from_occupation, solve_lp
 from minwork.model import (
     Action,
@@ -69,6 +69,21 @@ def test_sim_config_validation():
         SimConfig(horizon=100, burn_in=100)
     with pytest.raises(ValueError):
         SimConfig(horizon=100, replications=0)
+    # each used to fail deep in the step loop or in numpy's SeedSequence
+    bad = [
+        ({"horizon": 1000.5}, "horizon must be an integer, not 1000.5"),
+        ({"horizon": True}, "horizon must be an integer, not True"),
+        ({"horizon": 1000, "replications": 2.5}, "replications must be an integer, not 2.5"),
+        ({"horizon": 1000, "burn_in": 10.5}, "burn_in must be an integer, not 10.5"),
+        ({"horizon": 1000, "burn_in": False}, "burn_in must be an integer, not False"),
+        ({"horizon": 1000, "seed": 1.0}, "seed must be an integer, not 1.0"),
+        ({"horizon": 1000, "seed": -1}, "seed must be >= 0, not -1"),
+    ]
+    for kwargs, message in bad:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            SimConfig(**kwargs)
+    cfg = SimConfig(horizon=np.int64(1000), replications=np.int32(2), seed=np.uint64(3))
+    assert (cfg.burn_in, cfg.replications, cfg.seed) == (100, 2, 3)
 
 
 @pytest.mark.parametrize(
@@ -615,6 +630,10 @@ _WIDE = ServerSpec(n_s=8, mu=_WIDE_RNG.uniform(0.05, 0.95, 8),
 _WIDE_TABLE = _WIDE_RNG.uniform(0.01, 0.99, (40, 2, 8))
 _WIDE_TABLE[0, 0] = 0.0
 _WIDE_TABLE[1:, 1] = 1.0
+_WORK = np.array([[[0.0], [0.0]], [[1.0], [1.0]]])  # work unless the queue is empty
+# three interior work probabilities: 4 action ranks times 50 symbols b,
+# so the folded symbol still fits in a byte
+_INTERIOR = lift_policy(PolicyY(np.array([0.5, 0.3, 0.7, 1.0, 0.0]))).table
 
 
 # (spec or None for spec5, table or None for _theta5, lam, SIM_BLOCK, config, target)
@@ -627,7 +646,7 @@ _WIDE_TABLE[1:, 1] = 1.0
                      id="burn-in-at-second-block-end"),
         pytest.param(None, None, 0.3, 4096, SimConfig(1, 0, 2, 13, SystemState(2, B, 3), trace=True),
                      SystemState(2, A, 3), id="horizon-1"),
-        pytest.param(_FAST, np.array([[[0.0], [0.0]], [[1.0], [1.0]]]), 0.05, 4096,
+        pytest.param(_FAST, _WORK, 0.05, 4096,
                      SimConfig(300, 10, 1, 14, SystemState(1, B, 40), trace=True), SystemState(1, A, 0),
                      id="drains-through-level-0"),
         pytest.param(None, _REST, 1e-9, 7, SimConfig(40, 3, 2, 15, trace=True), SystemState(1, A, 0),
@@ -636,11 +655,20 @@ _WIDE_TABLE[1:, 1] = 1.0
                      SystemState(3, A, 3), id="one-level-q3"),
         pytest.param(_WIDE, _WIDE_TABLE, 0.3, 7, SimConfig(60, 5, 2, 17, SystemState(2, A, 30), trace=True),
                      SystemState(2, A, 30), id="uint16-symbols"),
+        pytest.param(None, None, 0.3, 7, SimConfig(31, 4, 2, 18, SystemState(3, B, 2), trace=True),
+                     SystemState(3, A, 1), id="odd-horizon-block-7"),
+        pytest.param(None, None, 0.3, 1, SimConfig(31, 4, 2, 19, trace=True), SystemState(2, A, 1),
+                     id="odd-horizon-block-1"),
+        pytest.param(_FAST, _WORK, 0.05, 7, SimConfig(29, 0, 1, 25, SystemState(1, A, 40), trace=True),
+                     SystemState(1, A, 33), id="falls-to-the-lowest-level"),
+        pytest.param(None, _INTERIOR, 0.2, 7, SimConfig(60, 5, 2, 20, SystemState(2, A, 12), trace=True),
+                     SystemState(2, A, 12), id="interior-work-probabilities"),
     ],
 )
 def test_histogram_tallies_match_reference_on_edge_cases(spec5, spec, tbl, lam, block, cfg, target, request):
     # the block histogram where its counted states are few, start at a
-    # block's last step, cross level 0, or keep to one level
+    # block's last step, cross level 0, or keep to one level; odd blocks
+    # end with a padded step; two steps per lookup from a base above 0
     spec = spec or spec5
     theta = _theta5() if tbl is None else PolicyX(tbl)
     runs = [
@@ -660,9 +688,16 @@ def test_histogram_tallies_match_reference_on_edge_cases(spec5, spec, tbl, lam, 
         assert q[0] == 40 and q.min() == 0
     if case.startswith("one-level"):
         assert np.all(q == q[0])
+    if case == "falls-to-the-lowest-level":
+        # the first block's base is 40 - 7 - 1 and it ends at its level L
+        assert q[0] == 40 and q[7] == 33
+    tables = sim._step_tables(spec, theta, block)
+    if case == "interior-work-probabilities":
+        assert len(tables.act) == 3
     if case == "uint16-symbols":
-        tables = sim._step_tables(spec, theta, block)
         assert tables.a_dtype == tables.b_dtype == np.uint16
+    # only the symbols that need two bytes take one step per lookup
+    assert (tables.step is None) == (case == "uint16-symbols")
 
 
 def test_step_tables_stay_small_and_are_built_once_per_call(monkeypatch):
@@ -715,9 +750,47 @@ def test_step_tables_share_one_int_per_change():
     finally:
         tracemalloc.stop()
     assert peak < 40e6
+    assert tables.step is None  # one step per lookup: 2 (50 + 1) (98 + 1) symbols b
     deltas = {}
     for row in tables.rows[: 2 * n]:
         for family in row:
             for delta in family:
                 assert deltas.setdefault(delta, delta) is delta
     assert len(deltas) <= 6 * n + 2
+
+
+def test_example1_tables_take_two_steps_per_lookup(spec5):
+    # minwork simulate's policy, the lifted tau* threshold: a fall back to
+    # one step per lookup would keep every result and lose the speed
+    _, tau = max_service_rate(spec5)
+    tables = sim._step_tables(spec5, lift_policy(threshold_policy(5, tau)), sim.SIM_BLOCK)
+    n2, L = 10, tables.levels
+    assert tables.step is not None and tables.step.shape == ((L + 1) * n2, 50)
+    assert len(tables.rows) == (2 * sim.SIM_BLOCK + L + 2) * n2
+    # rows[x][c1][c2] is step at x then step at x + that change
+    step = tables.step.tolist()
+    for x in [*range(n2 // 2), *range(n2, (L + 2) * n2)]:  # level 0's busy rows are no state
+        for c1 in range(50):
+            d = step[min(x, L * n2 + x % n2)][c1]
+            y = min(x + d, L * n2 + (x + d) % n2)
+            assert tables.rows[x][c1] == [d + e for e in step[y]]
+
+
+def test_one_step_rows_give_the_same_outputs(spec5, monkeypatch):
+    # the same runs with the two-step rows and, past their size bound,
+    # with one step per lookup, odd blocks included
+    theta = PolicyX(_INTERIOR)
+    runs = [
+        lambda: simulate(spec5, 0.2, theta, SimConfig(3001, burn_in=700, replications=2, seed=21, trace=True)),
+        lambda: simulate(spec5, 0.2, _theta5(), SimConfig(2000, seed=22, initial_state=SystemState(3, B, 30))),
+        lambda: hitting_time_stats(spec5, 0.2, theta, SystemState(1, A, 0), SimConfig(3001, seed=23)),
+    ]
+    monkeypatch.setattr(sim, "SIM_BLOCK", 333)
+    assert sim._step_tables(spec5, theta, sim.SIM_BLOCK).step is not None
+    two = [run() for run in runs]
+    monkeypatch.setattr(sim, "PAIR_SLOTS", 0)
+    assert sim._step_tables(spec5, theta, sim.SIM_BLOCK).step is None
+    for run, expect in zip(runs, two):
+        got = run()
+        for name, value in vars(expect).items():
+            np.testing.assert_array_equal(getattr(got, name), value, err_msg=name)

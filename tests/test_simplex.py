@@ -143,12 +143,18 @@ def test_rejects_constraints_of_the_wrong_width():
         ({"A_eq": np.zeros((0, 3)), "b_eq": []}, r"A_eq of shape \(0, 3\)"),
         ({"A_eq": np.zeros((0, 2)), "b_eq": []}, "no constraints given"),
         ({"A_eq": None, "A_ub": np.zeros((0, 2)), "b_ub": []}, "no constraints given"),
+        ({"b_eq": None}, "A_eq is given without its rhs b_eq"),
+        ({"A_eq": None, "b_eq": None, "A_ub": [[1.0, 1.0]]}, "A_ub is given without its rhs b_ub"),
     ],
-    ids=["c-0d", "c-2d", "c-empty", "A-3d", "A-0d", "rhs-0d-two-rows", "rhs-2d", "empty-wrong-width", "empty-eq", "empty-ub"],
+    ids=[
+        "c-0d", "c-2d", "c-empty", "A-3d", "A-0d", "rhs-0d-two-rows", "rhs-2d", "empty-wrong-width", "empty-eq",
+        "empty-ub", "no-b-eq", "no-b-ub",
+    ],
 )
 def test_rejects_malformed_input_up_front(data, message):
     # each of these used to fail inside the solve, or after it, with
-    # numpy's own error; a block with zero rows counts as absent
+    # numpy's own error, and a missing rhs as a non-finite one; a block
+    # with zero rows counts as absent
     kwargs = {"c": [1.0, 1.0], "A_eq": [[1.0, 1.0]], "b_eq": [1.0]} | data
     with pytest.raises(ValueError, match=message):
         solve_simplex(**kwargs)
@@ -217,6 +223,39 @@ def test_random_feasible_systems(data):
         assert np.all(res.x >= -1e-9)
         assert np.max(np.abs(A @ res.x - b)) < 1e-7 * (1.0 + np.abs(b).max())
         assert res.value <= c @ x0 + 1e-7
+
+
+@pytest.mark.parametrize(
+    "A, x0, c",
+    [
+        # an artificial left at 5e-11 used to be driven out on a negative
+        # entry, leaving its column at -1.5e-9
+        ([[0.0, 0.0, 0.03125, -2.416767244157168e-11]], [0.0, 0.0, 0.0, 2.0], [0.0] * 4),
+        # a reduced cost of -8e-8 that is only noise, in a column with no
+        # pivot, made phase one "unbounded"
+        ([[0.0, 0.0, 1e-9, -1.0], [0.0, 1.0, -2.0, 0.0]], [0.0] * 4, [0.0] * 4),
+        # rhs entries below 1e-13 in the data were zeroed as noise
+        ([[1.0], [1e-6]], [5.960464477539063e-08], [0.0]),
+        ([[0.0, 1.0], [1.0, 1e-7]], [0.0, 1e-7], [0.0, 0.0]),
+        ([[1.0, 0.0, 0.0], [1e-10, 0.0, 0.0], [-0.5, 1.0, 0.0]], [1.0, 1e-9, 0.0], [0.0] * 3),
+        # a near-tie in the ratio test picked a row whose true ratio was
+        # longer by 1e-10 of a 5e9 step, and took the basis 0.5 infeasible
+        ([[0.0, 1e-10, 1.0], [2.0, -1.0, 0.0]], [0.0, 1.0, 1.0], [0.0, 1.0, 0.0]),
+        # rhs noise of 1e-16 over a 6e-10 pivot outranked a clean row of
+        # the same true ratio
+        ([[0.0, 1.0], [1.0, -6.156839725334126e-10], [1.0, 0.0]], [1.0, 1.0], [0.0, 0.0]),
+    ],
+    ids=["drive-out", "phase-one-noise", "small-rhs-1", "small-rhs-2", "small-rhs-3", "near-tie", "noisy-ratio"],
+)
+def test_badly_scaled_feasible_systems(A, x0, c):
+    # systems once found by test_random_feasible_systems, with its checks
+    A, x0, c = np.array(A), np.array(x0), np.array(c)
+    b = A @ x0
+    res = solve_simplex(c=c, A_eq=A, b_eq=b)
+    assert res.optimal
+    assert np.all(res.x >= -1e-9)
+    assert np.max(np.abs(A @ res.x - b)) < 1e-7 * (1.0 + np.abs(b).max())
+    assert res.value <= c @ x0 + 1e-7
 
 
 def test_no_external_lp_dependency():
