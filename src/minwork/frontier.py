@@ -12,9 +12,13 @@ state is an exact, nonnegative linear function of the same work mass.
 The LP therefore carries n_s + 1 variables, the work mass at the
 available states and the rest mass at the bottom one, and two equality
 rows, service rate and total mass, and rebuilds the rest of the measure
-from them. The frontier is the lower convex hull of the threshold-policy
-rate pairs together with the origin; the two constructions are
-implemented independently and cross-checked in tests.
+from them. With two rows, each column is a point (service rate, cost)
+per unit mass and a feasible answer is a convex mix of those points at
+the target rate, so the LP is solved exactly as the least chord through
+the target rate over pairs of points (_lower_chord). The frontier is
+the lower convex hull of the threshold-policy rate pairs together with
+the origin; the two constructions are implemented independently and
+cross-checked in tests.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ import numpy as np
 
 from .model import NumericalFailure, PolicyY, ServerSpec, _kernel_matrices
 from .chain import stationary_pmf_y, threshold_rates
-from .simplex import solve_simplex
+from .simplex import solve_simplex  # noqa: F401 - bench/tracing.py wraps it under this module
 
 MASS_TOL = 1e-9
 
@@ -112,9 +116,8 @@ def _lp_blocks(spec: ServerSpec):
     rest mass at s >= 2 is therefore work_a rest_map with rest_map =
     tail / rho_down (rho_down > 0 there), nonnegative for every
     work_a >= 0, so it needs no row of its own. The rows are the service
-    rate, total mass one and, for eps = 1 only, rest at s = 1 at most
-    zero. The spec is immutable, so the first call builds the blocks and
-    keeps them on it, read-only.
+    rate and total mass one. The spec is immutable, so the first call
+    builds the blocks and keeps them on it, read-only.
     """
     cached = getattr(spec, "_lp_blocks", None)
     if cached is not None:
@@ -129,10 +132,10 @@ def _lp_blocks(spec: ServerSpec):
     tail = np.triu(np.cumsum(ends[:, ::-1], axis=1)[:, ::-1], 1)
     rest_map = tail[:, 1:] / spec.rho_down[1:]
     work_mass = visits.sum(axis=1)
-    rows = np.zeros((3, n + 1))
+    rows = np.zeros((2, n + 1))
     rows[0, :n] = 1.0
     rows[1, :n] = work_mass + rest_map.sum(axis=1)
-    rows[1:, n] = 1.0
+    rows[1, n] = 1.0
     cost = np.zeros(n + 1)
     cost[:n] = work_mass
     busy = pw[:n, n:] @ visits
@@ -143,6 +146,38 @@ def _lp_blocks(spec: ServerSpec):
     return blocks
 
 
+def _lower_chord(a, b, c, nu_bar):
+    """Least c x over x >= 0 with a x = nu_bar and b x = 1, or None if
+    no such x exists; every b_j must be positive.
+
+    Column j is the point (a_j / b_j, c_j / b_j), and x_j = w_j / b_j
+    turns the rows into a convex mix w of the points at first coordinate
+    nu_bar, so the least cost is the lowest chord through nu_bar between
+    a point at or left of it and one at or right of it (a single point
+    at nu_bar counts as a chord with itself).
+
+    Range ends: nu_bar more than MASS_TOL outside [min, max] of
+    a_j / b_j is infeasible; within that band it snaps to the end, so a
+    target an ulp past the best column's rate is that column alone.
+    Ties: the first least pair in (i, j) order wins, i at or left of
+    nu_bar and j at or right of it.
+    """
+    rate, cost = a / b, c / b
+    lo, hi = rate.min(), rate.max()
+    if not lo - MASS_TOL <= nu_bar <= hi + MASS_TOL:
+        return None
+    below = min(max(nu_bar, lo), hi) - rate  # >= 0 at or left of the target
+    span = below[:, None] - below  # rate_j - rate_i, >= 0 on the pairs
+    share = np.divide(below[:, None], span, out=np.zeros_like(span), where=span > 0.0)
+    value = cost[:, None] + share * (cost - cost[:, None])
+    value[(below < 0.0)[:, None] | (below > 0.0)] = np.inf
+    i, j = divmod(int(value.argmin()), rate.size)
+    x = np.zeros_like(rate)
+    x[j] = share[i, j] / b[j]
+    x[i] += (1.0 - share[i, j]) / b[i]
+    return x
+
+
 def solve_lp(spec: ServerSpec, nu_bar: float, eps: float) -> LpResult:
     """Minimum stationary work probability at service rate nu_bar.
 
@@ -151,10 +186,14 @@ def solve_lp(spec: ServerSpec, nu_bar: float, eps: float) -> LpResult:
     both are linear functions of the work mass at the available states.
     The LP keeps the n_s + 1 variables [work_a | rest at s = 1] and two
     equality rows, the service rate and total mass one (_lp_blocks),
-    with the eps-floor at (1, A). The full measure, work_b included, is
-    audited for flow balance at all 2 n_s states, service rate and mass
-    before it is returned; a miss raises NumericalFailure. Infeasibility
-    is reported, not raised; the value is +inf in that case.
+    with the eps-floor at (1, A). Two rows make it a lower chord, solved
+    exactly by _lower_chord: nu_bar within MASS_TOL past the range of
+    the columns' rates snaps to its end, and among equal chords the
+    first pair in column order wins. The full measure, work_b included,
+    is audited for flow balance at all 2 n_s states, service rate and
+    mass before it is returned; a miss raises NumericalFailure.
+    Infeasibility is reported, not raised; the value is +inf in that
+    case.
     """
     if not 0.0 <= eps <= 1.0:
         raise ValueError("eps must lie in [0, 1]")
@@ -164,27 +203,23 @@ def solve_lp(spec: ServerSpec, nu_bar: float, eps: float) -> LpResult:
     rows, c, rest_map, busy = _lp_blocks(spec)
 
     # The floor (1-eps) l_{(1,A),W} >= eps l_{(1,A),R} is enforced by exact
-    # substitution l_W = z + k l_R with k = eps/(1-eps) and z >= 0.  Passing
-    # the raw inequality row instead mixes entries of size eps and 1 into the
-    # tableau and loses ~|log10 eps| digits during elimination. At eps = 1
-    # the row l_{(1,A),R} <= 0 forces the rest mass to zero outright.
+    # substitution l_W = z + k l_R with k = eps/(1-eps) and z >= 0, which
+    # moves only the rest column's point. At eps = 1 no rest at (1, A) is
+    # allowed, so its column is dropped.
     k = 0.0
-    ub = {}
     if eps >= 1.0:
-        ub = {"A_ub": rows[2:], "b_ub": (0.0,)}
+        rows, c = rows[:, :n], c[:n]
     elif eps > 0.0:
         k = eps / (1.0 - eps)
         rows, c = rows.copy(), c.copy()
         rows[:, n] += k * rows[:, 0]
         c[n] += k * c[0]
-    res = solve_simplex(c, A_eq=rows[:2], b_eq=(nu_bar, 1.0), **ub)
-    if res.status == "infeasible":
+    x = _lower_chord(rows[0], rows[1], c, nu_bar)
+    if x is None:
         return LpResult(value=float("inf"), measure=None, feasible=False)
-    if res.status != "optimal":
-        raise RuntimeError(f"occupation LP ended with status {res.status}")
-    x = np.maximum(res.x, 0.0)
-    if k > 0.0:
-        x[0] += k * x[n]
+    if eps >= 1.0:
+        x = np.append(x, 0.0)
+    x[0] += k * x[n]
     work_a = x[:n]
     rest_a = np.concatenate((x[n:], work_a @ rest_map))
     measure = OccupationMeasure(work_a=work_a, rest_a=rest_a, work_b=work_a @ busy, floor=eps)

@@ -19,6 +19,7 @@ from minwork.frontier import (
     Frontier,
     NotStabilizableError,
     OccupationMeasure,
+    _lower_chord,
     _lp_blocks,
     frontier,
     infimum_utilization,
@@ -28,7 +29,8 @@ from minwork.frontier import (
     solve_lp,
 )
 from minwork.model import NumericalFailure, PolicyY, ServerSpec, _kernel_matrices
-from minwork.simplex import SimplexResult, solve_simplex
+from minwork.simplex import solve_simplex
+from minwork.verify import run_all
 
 BREAKPOINTS = (
     (0.0, 0.0),
@@ -234,6 +236,80 @@ def test_lp_hull_agreement_random_specs(data):
         assert res.value == pytest.approx(f(float(nu)), abs=1e-8)
 
 
+def test_lower_chord_range_ends_and_ties():
+    # points (rate, cost) = (a / b, c / b); dyadic data keep every chord
+    # value exact, so the ties below are ties in floating point too
+    a, b, c = np.array([1.0, 2.0]), np.ones(2), np.array([1.0, 3.0])
+    assert _lower_chord(a, b, c, 1.5).tolist() == [0.5, 0.5]
+    assert _lower_chord(a, b, c, 1.0).tolist() == [1.0, 0.0]  # a point at the target
+    # within MASS_TOL past an end the target snaps to it; beyond, infeasible
+    assert _lower_chord(a, b, c, 2.0 + 0.5 * MASS_TOL).tolist() == [0.0, 1.0]
+    assert _lower_chord(a, b, c, 1.0 - 0.5 * MASS_TOL).tolist() == [1.0, 0.0]
+    assert _lower_chord(a, b, c, 2.0 + 2.0 * MASS_TOL) is None
+    assert _lower_chord(a, b, c, 1.0 - 2.0 * MASS_TOL) is None
+    # four collinear points: every pair across 1.5 costs 1.5, and the
+    # first in (i, j) order, i at or left of the target, j at or right, wins
+    a = np.array([0.0, 1.0, 2.0, 3.0])
+    assert _lower_chord(a, np.ones(4), a, 1.5).tolist() == [0.25, 0.0, 0.75, 0.0]
+    # b rescales a column's point and its weight alike
+    b = np.array([2.0, 1.0, 4.0, 1.0])
+    assert _lower_chord(a * b, b, a * b, 1.5).tolist() == [0.125, 0.0, 0.1875, 0.0]
+
+
+def _enumerated_lp(spec, nu_bar, eps):
+    """The condensed LP by brute force: its floor substituted into the
+    rest column (dropped at eps = 1), then every single column and every
+    column pair's 2 x 2 system of the service-rate and mass rows, solved
+    and kept where nonnegative. Returns the least value (None if no
+    candidate is kept) and the range [min, max] of the columns' rates."""
+    rows, cost, _, _ = _lp_blocks(spec)
+    n = spec.n_s
+    a, b, c = rows[0].copy(), rows[1].copy(), cost.copy()
+    if eps == 1.0:
+        a, b, c = a[:n], b[:n], c[:n]
+    else:
+        k = eps / (1.0 - eps)
+        a[n] += k * a[0]
+        b[n] += k * b[0]
+        c[n] += k * c[0]
+    values = [c[j] / b[j] for j in range(a.size) if abs(a[j] / b[j] - nu_bar) <= 1e-12]
+    for i in range(a.size):
+        for j in range(i + 1, a.size):
+            try:
+                x = np.linalg.solve([[a[i], a[j]], [b[i], b[j]]], [nu_bar, 1.0])
+            except np.linalg.LinAlgError:
+                continue
+            if x.min() >= 0.0:
+                values.append(c[i] * x[0] + c[j] * x[1])
+    rates = a / b
+    return (min(values) if values else None), (rates.min(), rates.max())
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_lp_matches_vertex_enumeration(data):
+    # an independent route to the same optimum on random models: with two
+    # rows an optimal vertex has at most two nonzero columns, so the least
+    # of all one- and two-column solutions is the LP's value; feasibility
+    # is compared outside the MASS_TOL band at the ends of the rate range,
+    # where solve_lp snaps the target to the end
+    n = data.draw(st.integers(1, 30))
+    spec = ServerSpec(
+        n_s=n,
+        mu=np.array(data.draw(st.lists(st.floats(0.02, 0.95), min_size=n, max_size=n))),
+        rho_up=np.array(data.draw(st.lists(st.floats(0.02, 0.5), min_size=n - 1, max_size=n - 1))),
+        rho_down=np.array(data.draw(st.lists(st.floats(0.02, 0.5), min_size=n - 1, max_size=n - 1))),
+    )
+    eps = data.draw(st.one_of(st.sampled_from([0.0, 1e-4, 0.3, 1.0]), st.floats(0.0, 1.0)))
+    nu = data.draw(st.floats(0.0, 1.2)) * max_service_rate(spec)[0]
+    res = solve_lp(spec, nu, eps)
+    best, (lo, hi) = _enumerated_lp(spec, nu, eps)
+    if min(abs(nu - lo), abs(nu - hi)) > 1e-9:
+        assert res.feasible == (best is not None)
+    if res.feasible and best is not None:
+        assert abs(res.value - best) <= 1e-11
+
+
 def _random_spec(rng, n):
     return ServerSpec(
         n_s=n,
@@ -255,16 +331,15 @@ def test_frontier_on_large_random_models():
 
 
 PINNED_LP_OUTCOMES = {"feasible": 240, "infeasible": 0, "raised": 0}
-PINNED_LP_DIGEST = "ea72ba7d8c1dd562096d52cf782568153d7a4fb933a2e259af3980f617df4ab5"
+PINNED_LP_DIGEST = "881ff08b2bd7baa24fe2af13f19a3464fc9195a4e4c61bbed0ebcf16496d175f"
 
 
 def test_solve_lp_pinned_outputs():
     # Every bit of every answer is pinned: feasibility, value and the three
     # measure arrays, for two seeded models per n_s = 2..6 at 8 service
     # rates and 3 floors, raising cases by exception type and message. A
-    # change to the LP's rows or to the pivot sequence (such as a simplex
-    # that refactors its basis) changes the digest and has to re-record it
-    # on purpose.
+    # change to the LP's rows or to the arithmetic of its solve changes
+    # the digest and has to re-record it on purpose.
     h = hashlib.sha256()
     outcomes = {"feasible": 0, "infeasible": 0, "raised": 0}
     raised = []
@@ -421,12 +496,11 @@ def test_lp_blocks_are_model_constants(spec5):
     tail = np.cumsum((n_inv @ pw[:n, :n] - np.eye(n))[:, ::-1], axis=1)[:, ::-1]
     np.testing.assert_allclose(rest_map * spec5.rho_down[1:], tail[:, 1:], rtol=1e-13, atol=1e-15)
     assert np.all(rest_map >= 0.0) and not np.any(np.tril(rest_map, -1))
-    # rows over [work_a | rest at s = 1]: service rate, total mass, the
-    # eps = 1 row rest_a[0] <= 0; the cost is the work mass
-    assert rows.shape == (3, n + 1) and cost.shape == (n + 1,)
+    # rows over [work_a | rest at s = 1]: service rate and total mass;
+    # the cost is the work mass
+    assert rows.shape == (2, n + 1) and cost.shape == (n + 1,)
     np.testing.assert_array_equal(rows[0], np.append(np.ones(n), 0.0))
     np.testing.assert_allclose(rows[1], np.append(n_inv.sum(axis=1) + rest_map.sum(axis=1), 1.0), rtol=1e-13)
-    np.testing.assert_array_equal(rows[2], np.eye(1, n + 1, n)[0])
     np.testing.assert_allclose(cost, np.append(n_inv.sum(axis=1), 0.0), rtol=1e-13)
     # the rest rebuilt from any work vector, with any rest at s = 1 (a
     # self-loop), balances every state of the full measure
@@ -439,6 +513,41 @@ def test_lp_blocks_are_model_constants(spec5):
     assert "_lp_blocks" not in vars(pickle.loads(pickle.dumps(spec5)))
 
 
+@pytest.mark.parametrize("flow_audit", [True, False])
+def test_lp_blocks_mutation_fails_verify(spec5, monkeypatch, flow_audit):
+    # The LP and the hull are the deliberate redundancy: the LP's points
+    # come from _lp_blocks' flux identities, the hull's from stationary
+    # solves of the threshold chains. A tail shifted by one column fails
+    # C4-C6 through solve_lp's flow audit, and with that audit switched
+    # off C4 still fails on the LP's distance from the hull, and C6 on
+    # the extracted policy's rates
+    good_blocks = _lp_blocks
+
+    def shifted(spec):
+        # the flux across boundary s taken as the one across s - 1: the
+        # rest map and the mass row it feeds are wrong, the service-rate
+        # row and the cost right
+        rows, cost, rest_map, busy = good_blocks(spec)
+        n = spec.n_s
+        tail = np.hstack([np.zeros((n, 1)), rest_map * spec.rho_down[1:]])
+        rest_map = tail[:, :-1] / spec.rho_down[1:]
+        rows = rows.copy()
+        rows[1, :n] = cost[:n] + rest_map.sum(axis=1)
+        return rows, cost, rest_map, busy
+
+    module = sys.modules["minwork.frontier"]
+    monkeypatch.setattr(module, "_lp_blocks", shifted)
+    if not flow_audit:
+        monkeypatch.setattr(OccupationMeasure, "flow_residual", lambda self, spec: 0.0)
+    results = {r.cid: r for r in run_all(spec5, only=["C4", "C5", "C6"])}
+    if flow_audit:
+        for r in results.values():
+            assert not r.passed and "occupation LP audit: flow residual" in r.detail
+    else:
+        assert not results["C4"].passed and results["C4"].values["max_gap"] > 1e-3
+        assert not results["C6"].passed and results["C6"].values["nu_err"] > 1e-3
+
+
 @pytest.mark.parametrize(
     "nu_bar, scale, quantity",
     [
@@ -448,24 +557,23 @@ def test_lp_blocks_are_model_constants(spec5):
     ],
 )
 def test_lp_audit_names_the_broken_identity(spec5, monkeypatch, nu_bar, scale, quantity):
-    # scale multiplies (the rest map, the simplex answer). Rest above
-    # s = 1 off by 1e-6 breaks flow balance, which no simplex answer can:
+    # scale multiplies (the rest map, the chord solve's answer). Rest
+    # above s = 1 off by 1e-6 breaks flow balance, which no answer can:
     # every work vector balances with its rebuilt rest. A whole answer
     # off by 1e-6 breaks the service rate, or at nu_bar = 0, where all
     # mass rests, the mass alone; solve_lp names the identity
-    good_blocks, good_simplex = _lp_blocks, solve_simplex
+    good_blocks, good_chord = _lp_blocks, _lower_chord
 
     def blocks(spec):
         rows, cost, rest_map, busy = good_blocks(spec)
         return rows, cost, rest_map * scale[0], busy
 
-    def perturbed(c, **kw):
-        x = good_simplex(c, **kw).x * scale[1]
-        return SimplexResult("optimal", x, float(c @ x))
+    def perturbed(*args):
+        return good_chord(*args) * scale[1]
 
     # the package exports a function named frontier, so fetch the module
     module = sys.modules["minwork.frontier"]
     monkeypatch.setattr(module, "_lp_blocks", blocks)
-    monkeypatch.setattr(module, "solve_simplex", perturbed)
+    monkeypatch.setattr(module, "_lower_chord", perturbed)
     with pytest.raises(NumericalFailure, match=rf"occupation LP audit: {quantity} .* exceeds {MASS_TOL:g}"):
         solve_lp(spec5, nu_bar, 0.0)
