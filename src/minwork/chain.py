@@ -5,6 +5,11 @@ threshold policies and the best achievable service rate, the
 potential-like (relative value) function, the mixing and contraction
 constants, and the reduction of almost-deterministic policies to
 mixtures of threshold policies.
+
+The reduced chain's law (stationary_pmf_y) comes from GTH elimination
+level by level in activity-state order, in time linear in n_s, with
+its recurrent class read off the policy; stationary_pmf solves any
+stochastic matrix densely on its one recurrent class.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from .model import (
 BALANCE_TOL = 1e-10
 NEGATIVE_TOL = 1e-12  # round-off below zero a solve may leave before clipping
 IDENTITY_TOL = 1e-9
+_TINY = float(np.finfo(float).tiny)  # smallest normal float
 
 
 class NonUniqueStationaryError(ValueError):
@@ -74,6 +80,15 @@ def communicating_classes(P: np.ndarray):
     return _classes(_closure(np.asarray(P)))
 
 
+def _audit(pi: np.ndarray, P: np.ndarray) -> np.ndarray:
+    # "not r <= tol" so that a NaN residual fails too
+    if not abs(pi.sum() - 1.0) <= BALANCE_TOL:
+        raise NumericalFailure("stationary PMF fails sign or normalization checks")
+    if not np.max(np.abs(pi @ P - pi)) <= BALANCE_TOL:
+        raise NumericalFailure("stationary PMF fails balance checks")
+    return pi
+
+
 def stationary_pmf(P: np.ndarray) -> np.ndarray:
     """Unique stationary PMF of P, zeros off the recurrent class.
 
@@ -82,9 +97,19 @@ def stationary_pmf(P: np.ndarray) -> np.ndarray:
     reachability closure shows, the chain is irreducible and the system
     is that of P itself; otherwise the classes are listed from the same
     closure and the system is restricted to the recurrent class. Raises
-    NonUniqueStationaryError if more than one class is recurrent.
+    ValueError unless P is square with entries in [0, 1] and rows
+    summing to 1 within BALANCE_TOL, NonUniqueStationaryError if more
+    than one class is recurrent, and NumericalFailure when the answer
+    fails its sign, normalization or balance audit.
     """
     P = np.asarray(P, dtype=float)
+    if P.ndim != 2 or P.shape[0] != P.shape[1] or P.size == 0:
+        raise ValueError(f"P must be a nonempty square matrix, got shape {P.shape}")
+    if not np.all((P >= 0.0) & (P <= 1.0)):
+        raise ValueError("P must have finite entries in [0, 1]")
+    row_err = np.max(np.abs(P.sum(axis=1) - 1.0))
+    if not row_err <= BALANCE_TOL:
+        raise ValueError(f"P rows must sum to 1: off by up to {row_err:.3e}, more than {BALANCE_TOL}")
     reach = _closure(P)
     members = None
     sub = P
@@ -108,17 +133,94 @@ def stationary_pmf(P: np.ndarray) -> np.ndarray:
         pi_sub, pi = pi, np.zeros(P.shape[0])
         pi[members] = pi_sub
     pi[np.abs(pi) < 1e-15] = 0.0
-    if np.any(pi < -NEGATIVE_TOL) or abs(pi.sum() - 1.0) > BALANCE_TOL:
+    if np.any(pi < -NEGATIVE_TOL) or not abs(pi.sum() - 1.0) <= BALANCE_TOL:
         raise NumericalFailure("stationary PMF fails sign or normalization checks")
     np.maximum(pi, 0.0, out=pi)
     pi /= pi.sum()
-    if np.max(np.abs(pi @ P - pi)) > BALANCE_TOL:
-        raise NumericalFailure("stationary PMF fails balance checks")
-    return pi
+    return _audit(pi, P)
 
 
 def stationary_pmf_y(spec: ServerSpec, phi: PolicyY) -> np.ndarray:
-    return stationary_pmf(ybar_matrix(spec, phi))
+    """Unique stationary PMF of the reduced chain under phi, zeros off
+    its recurrent class.
+
+    In activity-level order the reduced chain is block tridiagonal with
+    2 x 2 blocks over (A, B): the level moves by at most one per step,
+    and only a rest at (s, A) moves it down. GTH elimination (Grassmann,
+    Taksar & Heyman 1985) censors out the levels from n_s down to the
+    lowest recurrent level b without fill, then recovers the levels
+    upward; every pivot is a sum of out-flows and no step subtracts.
+    The blocks are read off ybar_matrix, whose P also audits the answer.
+
+    ServerSpec keeps mu and the interior rho in (0, 1), which fixes the
+    recurrent class. With T the top level where phi works surely (0 if
+    none): if phi(1) > 0 it is every state at levels max(T, 1)..n_s;
+    if phi(1) = 0 and T = 0 it is (1, A) alone; if phi(1) = 0 and
+    T >= 2, (1, A) and the levels from T up are two recurrent classes
+    and NonUniqueStationaryError carries the partition. Raises
+    NumericalFailure when a pivot or the total mass is not a finite
+    normal float, or the answer fails its normalization or balance audit.
+    """
+    P = ybar_matrix(spec, phi)
+    n = spec.n_s
+    wp = phi.work_prob.tolist()
+    top = max((s for s, f in enumerate(wp, 1) if f == 1.0), default=0)
+    if wp[0] > 0.0:
+        pi = _level_solve(P, n, max(top, 1) - 1)
+    elif top == 0:
+        pi = np.zeros(2 * n)
+        pi[0] = 1.0
+    else:
+        raise NonUniqueStationaryError(communicating_classes(P))
+    return _audit(pi, P)
+
+
+def _pivot(value: float, level: int) -> float:
+    # a subnormal pivot has already lost digits to underflow
+    if not _TINY <= value < math.inf:
+        raise NumericalFailure(f"level solve pivot {value:.3e} at activity level {level} is not a finite normal float")
+    return value
+
+
+def _level_solve(P: np.ndarray, n: int, low: int) -> np.ndarray:
+    """GTH on the levels low..n-1 (0-based) of the reduced chain, the
+    levels below low carrying no mass; the censored chain at level low
+    must have no down-flow."""
+    P4 = P.reshape(2, n, 2, n)
+    (_, x), (y, _) = np.diagonal(P4, 0, 1, 3).tolist()  # x[i]: (i, A) -> (i, B); y[i]: back
+    up = np.diagonal(P4, 1, 1, 3).tolist()  # up[w][v][i]: (i, w) -> (i + 1, v)
+    down = np.diagonal(P4, -1, 1, 3).tolist()  # down[w][v][i]: (i + 1, w) -> (i, v)
+    (uaa, uba), (uab, ubb) = (up[0][0], up[1][0]), (up[0][1], up[1][1])
+    (daa, dba), (dab, dbb) = (down[0][0], down[1][0]), (down[0][1], down[1][1])
+    inv = [None] * n  # adjugate and determinant of I - L_i, L_i the censored block of level i
+    for i in range(n - 1, low, -1):
+        # censor level i out: from (i, w) the chain next enters level i - 1
+        # at (i - 1, v) w.p. m_wv, which reroutes level i - 1's up-flows
+        j = i - 1
+        xi, yi, d_aa, d_ab, d_ba, d_bb = x[i], y[i], daa[j], dab[j], dba[j], dbb[j]
+        da, db = d_aa + d_ab, d_ba + d_bb
+        det = _pivot(xi * db + yi * da + da * db, i + 1)
+        inv[i] = k_aa, k_ab, k_ba, k_bb, _ = yi + db, xi, yi, xi + da, det
+        m_aa = (k_aa * d_aa + k_ab * d_ba) / det
+        m_ab = (k_aa * d_ab + k_ab * d_bb) / det
+        m_ba = (k_ba * d_aa + k_bb * d_ba) / det
+        m_bb = (k_ba * d_ab + k_bb * d_bb) / det
+        x[j] += uaa[j] * m_ab + uab[j] * m_bb
+        y[j] += uba[j] * m_aa + ubb[j] * m_ba
+    # level low alone: a two-state chain with out-flows x and y
+    _pivot(x[low] + y[low], low + 1)
+    pa, pb = [0.0] * n, [0.0] * n
+    pa[low], pb[low] = y[low], x[low]
+    for i in range(low + 1, n):
+        j = i - 1
+        ra, rb = pa[j] * uaa[j] + pb[j] * uba[j], pa[j] * uab[j] + pb[j] * ubb[j]
+        k_aa, k_ab, k_ba, k_bb, det = inv[i]
+        pa[i] = (ra * k_aa + rb * k_ba) / det
+        pb[i] = (ra * k_ab + rb * k_bb) / det
+    total = sum(pa) + sum(pb)
+    if not _TINY <= total < math.inf:
+        raise NumericalFailure(f"level solve total mass {total:.3e} is not a finite normal float")
+    return np.array(pa + pb) / total
 
 
 def service_rate(spec: ServerSpec, phi: PolicyY, pi: np.ndarray | None = None) -> float:

@@ -7,10 +7,12 @@ the balance equations, then rounded once to double precision.
 
 import collections
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from minwork import chain
 from minwork.chain import (
     BALANCE_TOL,
     NEGATIVE_TOL,
@@ -165,6 +167,153 @@ def test_stationary_pmf_matches_class_restricted_solve(n, density, cycle, seed):
             assert str(err.value) == str(exc)
         return
     np.testing.assert_array_equal(stationary_pmf(P), expect)
+
+
+@pytest.mark.parametrize(
+    "P",
+    [
+        [[0.5, 0.5], [np.nan, 0.5]],
+        [[0.5, 0.5], [np.inf, 0.5]],
+        [[1.5, -0.5], [0.5, 0.5]],
+        [[0.5, 0.4], [0.5, 0.5]],
+        [[0.5, 0.5]],
+        [[[1.0]]],
+        np.zeros((0, 0)),
+    ],
+)
+def test_stationary_pmf_rejects_a_matrix_that_is_not_stochastic(P):
+    with pytest.raises(ValueError, match="P "):
+        stationary_pmf(P)
+
+
+def test_audits_fail_on_nan(monkeypatch, spec5):
+    # a NaN residual compares False against any bound; both audits must
+    # still fail on it
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: np.full(len(b), np.nan))
+    with pytest.raises(NumericalFailure, match="normalization"):
+        stationary_pmf([[0.9, 0.1], [0.6, 0.4]])
+    monkeypatch.setattr(chain, "_level_solve", lambda P, n, low: np.full(2 * n, np.nan))
+    with pytest.raises(NumericalFailure, match="normalization"):
+        stationary_pmf_y(spec5, threshold_policy(5, 3))
+
+
+def _random_model(rng, n):
+    return ServerSpec(
+        n_s=n,
+        mu=rng.uniform(0.02, 0.95, n),
+        rho_up=rng.uniform(0.02, 0.5, n - 1),
+        rho_down=rng.uniform(0.02, 0.5, n - 1),
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(1, 30),
+    kinds=st.lists(st.sampled_from("01u"), min_size=30, max_size=30),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_level_solve_matches_dense_solve(n, kinds, seed):
+    # every threshold, a policy with entries 0, 1 or U(0, 1), and the same
+    # policy resting at (1, A): the level solve and stationary_pmf on
+    # ybar_matrix raise alike, and otherwise agree to 1e-11 with exact
+    # zeros off the recurrent class (the dense solve also zeroes masses
+    # below 1e-15 on it)
+    rng = np.random.default_rng(seed)
+    spec = _random_model(rng, n)
+    wp = np.array([{"0": 0.0, "1": 1.0}.get(k, rng.uniform()) for k in kinds[:n]])
+    rest_bottom = wp.copy()
+    rest_bottom[0] = 0.0
+    policies = [threshold_policy(n, tau) for tau in range(1, n + 2)] + [PolicyY(wp), PolicyY(rest_bottom)]
+    for phi in policies:
+        P = ybar_matrix(spec, phi)
+        try:
+            expect = stationary_pmf(P)
+        except NonUniqueStationaryError as exc:
+            with pytest.raises(NonUniqueStationaryError) as err:
+                stationary_pmf_y(spec, phi)
+            assert err.value.classes == exc.classes
+            continue
+        got = stationary_pmf_y(spec, phi)
+        (recurrent,) = [c for c, r in communicating_classes(P) if r]
+        assert np.flatnonzero(got).tolist() == recurrent
+        assert np.all(expect[got == 0.0] == 0.0)
+        assert np.max(np.abs(got - expect)) <= 1e-11
+
+
+def _reference_pmf(spec, phi, states):
+    """The stationary PMF on the recurrent states to 50 digits: the
+    kernel's off-diagonal entries in mpmath from the float parameters,
+    each diagonal entry 1 - the sum of its row's off-diagonal entries,
+    and the balance equations with one row replaced by normalization
+    solved by mpmath's LU."""
+    n = spec.n_s
+    with mpmath.workdps(50):
+        mu, up, down, wp = (
+            [mpmath.mpf(v) for v in a.tolist()] for a in (spec.mu, spec.rho_up, spec.rho_down, phi.work_prob)
+        )
+        P = mpmath.zeros(2 * n, 2 * n)
+        for s in range(n):
+            for i, work in ((s, wp[s]), (n + s, mpmath.mpf(1))):
+                for t, move in ((s, 1 - up[s]), (s + 1, up[s])):
+                    if t < n:
+                        P[i, t] += work * move * mu[s]
+                        P[i, n + t] += work * move * (1 - mu[s])
+                for t, move in ((s, 1 - down[s]), (s - 1, down[s])):
+                    if t >= 0:
+                        P[i, t] += (1 - work) * move
+        for i in range(2 * n):
+            P[i, i] = 0
+            P[i, i] = 1 - sum(P[i, j] for j in range(2 * n))
+        k = len(states)
+        A = mpmath.matrix([[P[j, i] - (i == j) for j in states] for i in states])
+        for j in range(k):
+            A[k - 1, j] = 1
+        rhs = mpmath.zeros(k, 1)
+        rhs[k - 1] = 1
+        return [float(v) for v in mpmath.lu_solve(A, rhs)]
+
+
+@pytest.mark.parametrize("n", [8, 20, 30])
+def test_level_solve_is_accurate_entrywise(n):
+    # relative error per state against a 50-digit solve, for a random
+    # policy that works nowhere surely and for the same policy working
+    # surely at level n // 3 + 1, which leaves the levels below transient;
+    # the smallest masses lie between 1e-11 and 1e-5
+    rng = np.random.default_rng([23, n])
+    spec = _random_model(rng, n)
+    wp = rng.uniform(0.05, 0.95, n)
+    with_top = wp.copy()
+    with_top[n // 3] = 1.0
+    for low, phi in ((0, PolicyY(wp)), (n // 3, PolicyY(with_top))):
+        got = stationary_pmf_y(spec, phi)
+        states = [i for i in range(2 * n) if i % n >= low]
+        assert np.flatnonzero(got).tolist() == states
+        ref = np.array(_reference_pmf(spec, phi, states))
+        assert np.max(np.abs(got[states] - ref) / ref) <= 1e-14
+
+
+@pytest.mark.parametrize(
+    ("wp", "level"),
+    [((0.5, 0.5, 0.5), 2), ((1e-300, 0.5, 1.0 - 1e-16), 3)],
+)
+def test_level_solve_underflow_raises(wp, level):
+    spec = ServerSpec(n_s=3, mu=[1e-300, 1e-300, 0.5], rho_up=[1e-300, 1e-300], rho_down=[1e-300, 1e-300])
+    with pytest.raises(NumericalFailure, match=f"pivot .* at activity level {level} "):
+        stationary_pmf_y(spec, PolicyY(wp))
+
+
+def test_level_solve_uses_no_closure_and_no_lapack(monkeypatch, spec5):
+    def boom(*args, **kwargs):
+        raise AssertionError("called on the level solve's path")
+
+    monkeypatch.setattr(chain, "_closure", boom)
+    for name in dir(np.linalg):
+        if callable(getattr(np.linalg, name)) and not isinstance(getattr(np.linalg, name), type):
+            monkeypatch.setattr(np.linalg, name, boom)
+    for tau in range(2, 7):
+        stationary_pmf_y(spec5, threshold_policy(5, tau))
+    stationary_pmf_y(spec5, PolicyY([0.3, 1.0, 0.2, 0.7, 0.1]))
+    stationary_pmf_y(spec5, PolicyY([0.0, 0.2, 0.4, 0.6, 0.8]))  # the law at (1, A)
 
 
 def test_threshold_policy_shape():

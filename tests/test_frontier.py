@@ -320,8 +320,7 @@ def _random_spec(rng, n):
 
 
 def test_frontier_on_large_random_models():
-    # 40-state models whose stationary solves leave round-off entries of
-    # a few 1e-15 below zero; they are clipped, not rejected
+    # 40-state models whose threshold chains hold masses down to 1e-33
     n = 40
     for seed in (0, 1, 2):
         spec = _random_spec(np.random.default_rng(seed), n)
@@ -331,7 +330,7 @@ def test_frontier_on_large_random_models():
 
 
 PINNED_LP_OUTCOMES = {"feasible": 240, "infeasible": 0, "raised": 0}
-PINNED_LP_DIGEST = "881ff08b2bd7baa24fe2af13f19a3464fc9195a4e4c61bbed0ebcf16496d175f"
+PINNED_LP_DIGEST = "2c4355907e2d9c9c9aec07699a8a73a257838de0a859e99993026dc7758c36cf"
 
 
 def test_solve_lp_pinned_outputs():
