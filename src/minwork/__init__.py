@@ -15,12 +15,10 @@ every other public name is imported from its module.
 from types import ModuleType as _ModuleType
 
 from .chain import (
-    communicating_classes,
     decompose_dagger_policy,
     max_service_rate,
     mixing_constants,
     potential_function,
-    stationary_pmf,
     threshold_rates,
 )
 from .frontier import NotStabilizableError, frontier, occupation_from_policy, policy_from_occupation, solve_lp

@@ -1,15 +1,15 @@
 """Exact finite-chain analysis of the reduced process.
 
-Stationary PMFs, communicating classes, service and utilization rates,
+Stationary PMFs and recurrent classes, service and utilization rates,
 threshold policies and the best achievable service rate, the
 potential-like (relative value) function, the mixing and contraction
 constants, and the reduction of almost-deterministic policies to
 mixtures of threshold policies.
 
-The reduced chain's law (stationary_pmf_y) comes from GTH elimination
-level by level in activity-state order, in time linear in n_s, with
-its recurrent class read off the policy; stationary_pmf solves any
-stochastic matrix densely on its one recurrent class.
+Every stationary law of the reduced chain comes from one solver,
+stationary_pmf_y: GTH elimination level by level in activity-state
+order, in time linear in n_s, with the recurrent classes read off the
+policy (recurrent_sets). There is no general-matrix solver.
 """
 
 from __future__ import annotations
@@ -37,47 +37,32 @@ _TINY = float(np.finfo(float).tiny)  # smallest normal float
 
 class NonUniqueStationaryError(ValueError):
     """Raised when a chain has several recurrent classes and therefore
-    no unique stationary PMF. Carries the full class partition."""
+    no unique stationary PMF. Carries the recurrent classes, each a
+    sorted list of state indices."""
 
     def __init__(self, classes):
         self.classes = classes
-        rec = sum(1 for _, r in classes if r)
-        super().__init__(f"non-unique stationary PMF: {rec} recurrent classes")
+        super().__init__(f"non-unique stationary PMF: {len(classes)} recurrent classes")
 
 
-def _closure(P: np.ndarray) -> np.ndarray:
-    """Reachability of the support graph of P, whose edges are the
-    entries > 0: Warshall's boolean closure, n vectorized passes, which
-    at the few dozen states of a reduced chain is faster than a graph
-    search in Python. Entry [i, j] is True iff j is reachable from i,
-    each state reaching itself."""
-    n = P.shape[0]
-    reach = (P > 0.0) | np.eye(n, dtype=bool)
-    for k in range(n):
-        reach |= reach[:, k, None] & reach[k]
-    return reach
+def recurrent_sets(phi: PolicyY) -> list[list[int]]:
+    """Recurrent classes of the reduced chain under phi, as sorted lists
+    of indices in the fixed state order, read off the policy.
 
-
-def _classes(reach: np.ndarray):
-    # Row i of the mutual-reachability matrix is i's class; the class is
-    # listed at its smallest member and is closed iff i reaches no more.
-    reach_rows = reach.tolist()
-    return [
-        ([j for j, m in enumerate(row) if m], row == reach_rows[i])
-        for i, row in enumerate((reach & reach.T).tolist())
-        if not any(row[:i])
-    ]
-
-
-def communicating_classes(P: np.ndarray):
-    """Communicating classes of the support graph of P, whose edges are
-    the entries > 0.
-
-    Returns a list of (states, recurrent) pairs, ordered by smallest
-    member, where states is a sorted list of indices and recurrent is
-    True iff the class has no outgoing edge.
+    ServerSpec keeps mu and the interior rho in (0, 1) and rho_down(1)
+    = 0, which fixes them. With T the top level where phi works surely
+    (0 if none): if phi(1) > 0 the one class is every state at levels
+    max(T, 1)..n_s; if phi(1) = 0, (1, A) is absorbing and is the first
+    class, and when T >= 2 the levels from T up are a second one.
     """
-    return _classes(_closure(np.asarray(P)))
+    wp = phi.work_prob.tolist()
+    n = len(wp)
+    top = n - wp[::-1].index(1.0) if 1.0 in wp else 0
+    classes = [[0]] if wp[0] == 0.0 else []
+    if wp[0] > 0.0 or top > 0:
+        low = max(top, 1) - 1
+        classes.append([*range(low, n), *range(n + low, 2 * n)])
+    return classes
 
 
 def _audit(pi: np.ndarray, P: np.ndarray) -> np.ndarray:
@@ -87,57 +72,6 @@ def _audit(pi: np.ndarray, P: np.ndarray) -> np.ndarray:
     if not np.max(np.abs(pi @ P - pi)) <= BALANCE_TOL:
         raise NumericalFailure("stationary PMF fails balance checks")
     return pi
-
-
-def stationary_pmf(P: np.ndarray) -> np.ndarray:
-    """Unique stationary PMF of P, zeros off the recurrent class.
-
-    Solves the balance equations with the normalization row replacing
-    one balance row. When every state reaches every other, which the
-    reachability closure shows, the chain is irreducible and the system
-    is that of P itself; otherwise the classes are listed from the same
-    closure and the system is restricted to the recurrent class. Raises
-    ValueError unless P is square with entries in [0, 1] and rows
-    summing to 1 within BALANCE_TOL, NonUniqueStationaryError if more
-    than one class is recurrent, and NumericalFailure when the answer
-    fails its sign, normalization or balance audit.
-    """
-    P = np.asarray(P, dtype=float)
-    if P.ndim != 2 or P.shape[0] != P.shape[1] or P.size == 0:
-        raise ValueError(f"P must be a nonempty square matrix, got shape {P.shape}")
-    if not np.all((P >= 0.0) & (P <= 1.0)):
-        raise ValueError("P must have finite entries in [0, 1]")
-    row_err = np.max(np.abs(P.sum(axis=1) - 1.0))
-    if not row_err <= BALANCE_TOL:
-        raise ValueError(f"P rows must sum to 1: off by up to {row_err:.3e}, more than {BALANCE_TOL}")
-    reach = _closure(P)
-    members = None
-    sub = P
-    if not reach.all():
-        classes = _classes(reach)
-        recurrent = [c for c, r in classes if r]
-        if len(recurrent) != 1:
-            raise NonUniqueStationaryError(classes)
-        members = recurrent[0]
-        sub = P[np.ix_(members, members)]
-    k = sub.shape[0]
-    A = sub.T - np.eye(k)
-    A[-1, :] = 1.0
-    rhs = np.zeros(k)
-    rhs[-1] = 1.0
-    try:
-        pi = np.linalg.solve(A, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure(f"stationary solve failed: {exc}") from exc
-    if members is not None:
-        pi_sub, pi = pi, np.zeros(P.shape[0])
-        pi[members] = pi_sub
-    pi[np.abs(pi) < 1e-15] = 0.0
-    if np.any(pi < -NEGATIVE_TOL) or not abs(pi.sum() - 1.0) <= BALANCE_TOL:
-        raise NumericalFailure("stationary PMF fails sign or normalization checks")
-    np.maximum(pi, 0.0, out=pi)
-    pi /= pi.sum()
-    return _audit(pi, P)
 
 
 def stationary_pmf_y(spec: ServerSpec, phi: PolicyY) -> np.ndarray:
@@ -152,26 +86,23 @@ def stationary_pmf_y(spec: ServerSpec, phi: PolicyY) -> np.ndarray:
     upward; every pivot is a sum of out-flows and no step subtracts.
     The blocks are read off ybar_matrix, whose P also audits the answer.
 
-    ServerSpec keeps mu and the interior rho in (0, 1), which fixes the
-    recurrent class. With T the top level where phi works surely (0 if
-    none): if phi(1) > 0 it is every state at levels max(T, 1)..n_s;
-    if phi(1) = 0 and T = 0 it is (1, A) alone; if phi(1) = 0 and
-    T >= 2, (1, A) and the levels from T up are two recurrent classes
-    and NonUniqueStationaryError carries the partition. Raises
+    The recurrent class comes from recurrent_sets: the levels from b
+    up when phi(1) > 0, the law at (1, A) when phi(1) = 0 and phi works
+    surely nowhere, and NonUniqueStationaryError carrying both classes
+    when phi(1) = 0 and phi works surely at some level T >= 2. Raises
     NumericalFailure when a pivot or the total mass is not a finite
     normal float, or the answer fails its normalization or balance audit.
     """
     P = ybar_matrix(spec, phi)
-    n = spec.n_s
-    wp = phi.work_prob.tolist()
-    top = max((s for s, f in enumerate(wp, 1) if f == 1.0), default=0)
-    if wp[0] > 0.0:
-        pi = _level_solve(P, n, max(top, 1) - 1)
-    elif top == 0:
-        pi = np.zeros(2 * n)
+    classes = recurrent_sets(phi)
+    if len(classes) > 1:
+        raise NonUniqueStationaryError(classes)
+    (members,) = classes
+    if members == [0]:  # (1, A) alone
+        pi = np.zeros(2 * spec.n_s)
         pi[0] = 1.0
     else:
-        raise NonUniqueStationaryError(communicating_classes(P))
+        pi = _level_solve(P, spec.n_s, members[0])
     return _audit(pi, P)
 
 
@@ -279,20 +210,22 @@ class PotentialFunction:
     r_avg: float
 
 
-def potential_function(P: np.ndarray, reward) -> PotentialFunction:
-    """Solve the average-reward identity for a chain with one recurrent
-    class.
+def potential_function(spec: ServerSpec, phi: PolicyY, reward) -> PotentialFunction:
+    """Solve the average-reward identity for the reduced chain under a
+    policy with one recurrent class.
 
     reward is either a vector g over states (reward earned on leaving
     state m) or a matrix with reward[m, m'] earned on the transition
-    m -> m'; only the conditional expectation g(m) enters. The anchor
+    m -> m'; only the conditional expectation g(m) enters. P is
+    ybar_matrix and the stationary PMF is stationary_pmf_y's, which
+    raises NonUniqueStationaryError on two recurrent classes. The anchor
     state is the first state with stationary mass, which is recurrent
     because the stationary PMF vanishes off the recurrent class; the
     linear system for the remaining states is (I - P) restricted to
     them, which is weakly chained diagonally dominant and hence
     nonsingular.
     """
-    P = np.asarray(P, dtype=float)
+    P = ybar_matrix(spec, phi)
     n = P.shape[0]
     reward = np.asarray(reward, dtype=float)
     if reward.ndim == 2:
@@ -302,7 +235,7 @@ def potential_function(P: np.ndarray, reward) -> PotentialFunction:
     else:
         raise ValueError("reward must be a vector over states or a matrix over state pairs")
 
-    pi = stationary_pmf(P)  # raises on multiple recurrent classes
+    pi = stationary_pmf_y(spec, phi)
     r_avg = float(np.dot(pi, g))
 
     anchor = int(np.flatnonzero(pi)[0])
@@ -401,7 +334,7 @@ def mixing_constants(
 
     if s_star is None:
         if phi is not None:
-            pot = potential_function(ybar_matrix(spec, phi), service_reward(spec, phi))
+            pot = potential_function(spec, phi, service_reward(spec, phi))
             s_star = int(np.argmax(pot.h[:n])) + 1
         else:
             s_star = int(np.argmax(spec.rho_down)) + 1

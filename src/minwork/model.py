@@ -87,7 +87,7 @@ class ServerSpec:
 
     def __post_init__(self):
         n = self.n_s
-        if not isinstance(n, (int, np.integer)) or n < 1:
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
             raise ValueError(f"n_s must be a positive integer, got {self.n_s!r}")
         object.__setattr__(self, "n_s", int(n))
 
@@ -187,6 +187,7 @@ class PolicyY:
         return self.work_prob[0] >= eps
 
     def __call__(self, s: int, w: Availability) -> float:
+        check_y(self.n_s, s, w)
         if w == Availability.B:
             return 1.0
         return float(self.work_prob[s - 1])
@@ -243,11 +244,30 @@ class PolicyX:
         return self.table[np.minimum(np.arange(q_max + 1), self.table.shape[0] - 1)]
 
     def work_prob(self, s: int, w: Availability, q: int) -> float:
+        check_state(self.table.shape[2], s, w, q)
         return float(self.table[min(q, self.table.shape[0] - 1), int(w), s - 1])
+
+
+def check_y(n_s: int, s: int, w: Availability) -> None:
+    """Raise ValueError unless (s, w) is a reduced state for n_s."""
+    if not (1 <= s <= n_s and w in (0, 1)):
+        raise ValueError(f"(s, w) = ({s}, {w}) is not a reduced state for n_s={n_s}: s must lie in 1..n_s, w in (A, B)")
+
+
+def check_state(n_s: int, s: int, w: Availability, q: int, q_max: int | None = None) -> None:
+    """Raise ValueError unless (s, w, q) is a state of the full chain
+    for n_s, with q at most q_max when that is given."""
+    # a busy server holds the job in service, so q >= 1 when w = B
+    if not (1 <= s <= n_s and w in (0, 1) and q >= w and (q_max is None or q <= q_max)):
+        size, cap = (f"n_s={n_s}", "q >= 0") if q_max is None else (f"n_s={n_s} and q_max={q_max}", "q in 0..q_max")
+        raise ValueError(
+            f"(s, w, q) = ({s}, {w}, {q}) is not a state for {size}: s must lie in 1..n_s, {cap}, and q >= 1 when busy"
+        )
 
 
 def y_index(n_s: int, s: int, w: Availability) -> int:
     """Position of (s, w) in the fixed reduced-state order."""
+    check_y(n_s, s, w)
     return int(w) * n_s + (s - 1)
 
 

@@ -10,8 +10,10 @@ probabilities do not depend on q once q >= 1. Since q moves by at most
 one per step, their uncapped chain is a level-independent
 quasi-birth-death process and its stationary law is matrix-geometric,
 pi_(q+1) = pi_q R (Neuts 1981), with G from logarithmic reduction
-(Latouche & Ramaswami 1993). Every answer is audited for flow
-conservation, balance, sign and normalization.
+(Latouche & Ramaswami 1993). Before it solves, its drift test reads
+the reduced chain's law from chain.stationary_pmf_y, the one solver of
+that chain. Every answer is audited for flow conservation, balance,
+sign and normalization.
 
 The truncated oracle caps the queue at q_max and blocks arrivals at
 the cap, which keeps the kernel row-stochastic and biases utilization
@@ -45,8 +47,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .chain import NEGATIVE_TOL, _classes, _closure, stationary_pmf
-from .chain import stationary_pmf_y  # noqa: F401 - bench/tracing.py wraps it under this module
+from .chain import NEGATIVE_TOL, recurrent_sets, service_rate, stationary_pmf_y
 from .frontier import NotStabilizableError
 from .model import (
     Availability,
@@ -55,6 +56,7 @@ from .model import (
     ServerSpec,
     SystemState,
     _kernel_matrices,
+    check_state,
     y_state,
 )
 
@@ -86,9 +88,8 @@ class TruncatedPMF:
 
     def index(self, s: int, w: Availability, q: int) -> int:
         n = self.n_s
+        check_state(n, s, w, q, self.q_max)
         if q == 0:
-            if w == Availability.B:
-                raise ValueError("(B, 0) is not a state")
             return s - 1
         return n + (q - 1) * 2 * n + int(w) * n + (s - 1)
 
@@ -368,18 +369,21 @@ def qbd_stationary(spec: ServerSpec, lam: float, theta: PolicyX) -> QBDPMF:
 
     At a nonempty queue the phases move by up + local + down, the
     reduced chain under the base policy, and the level drifts up by
-    lam - (service rate in that chain). The phases that B01 feeds are
-    where the queue's excursions start, and a recurrent class they
-    reach traps the phases with positive probability, so the chain is
-    positive recurrent only if every such class serves more than lam
-    (mean-drift condition, Neuts 1981). A rate within DRIFT_TOL of lam
-    counts as lam: round-off puts a null-recurrent policy's rate on
-    either side of it.
+    lam - (service rate in that chain). B01 feeds every phase (s, A),
+    since a rest at level 0 keeps s with probability 1 - rho_down(s) >
+    0, so each recurrent class of that chain traps the phases with
+    positive probability, and the chain is positive recurrent only if
+    every class serves more than lam (mean-drift condition, Neuts 1981).
+    The classes are read off the base policy (chain.recurrent_sets):
+    when it rests at (1, A), (1, A) is absorbing and serves nothing;
+    otherwise the one class serves at the rate of stationary_pmf_y's
+    law. A rate within DRIFT_TOL of lam counts as lam: round-off puts a
+    null-recurrent policy's rate on either side of it.
 
     Raises ValueError for a policy whose work probabilities change with
     q >= 1, NotStabilizableError naming the service rate, lam and the
-    class when a recurrent class of the phases that level 0 reaches
-    serves no more than lam + DRIFT_TOL, and NumericalFailure naming
+    class when a recurrent class of the phases serves no more than
+    lam + DRIFT_TOL, and NumericalFailure naming
     the quantity, its value and its bound when the service rate misses
     lam, the balance equations, the sign or the normalization fail
     their audit.
@@ -387,19 +391,18 @@ def qbd_stationary(spec: ServerSpec, lam: float, theta: PolicyX) -> QBDPMF:
     if not 0.0 < lam < 1.0:
         raise ValueError("lam must lie in (0, 1)")
     n = spec.n_s
-    work = theta.base.full  # raises ValueError unless theta is lifted
+    base = theta.base  # raises ValueError unless theta is lifted
+    work = base.full
     mu = np.concatenate([spec.mu, spec.mu])
     (b0_up, up), (b0_local, local), (_, down) = _level_blocks(spec, lam, theta.table)
     b00, b01 = b0_local[:n, :n], b0_up[:n]
     b10 = np.ascontiguousarray(down[:, :n])
-    phases, served_at = up + local + down, work * mu
-    reach = _closure(phases)
-    reached = reach[(b01 > 0.0).any(axis=0)].any(axis=0)
-    rate, slowest = min(
-        (float(stationary_pmf(phases[np.ix_(c, c)]) @ served_at[c]), c)
-        for c, recurrent in _classes(reach)
-        if recurrent and reached[c[0]]
-    )
+    classes = recurrent_sets(base)
+    if base.work_prob[0] > 0.0:
+        (slowest,) = classes
+        rate = service_rate(spec, base, stationary_pmf_y(spec, base))
+    else:  # (1, A) is absorbing and serves nothing
+        rate, slowest = 0.0, classes[0]
     if not rate > lam + DRIFT_TOL:
         states = ", ".join(f"({y.s}, {y.w.name})" for y in (y_state(n, i) for i in slowest))
         raise NotStabilizableError(
@@ -518,15 +521,9 @@ def _check_states(spec: ServerSpec, lam: float, theta: PolicyX, *states: SystemS
     of the chain and theta's table matches spec."""
     if not 0.0 < lam < 1.0:
         raise ValueError("lam must lie in (0, 1)")
-    n = spec.n_s
     for state in states:
-        # a busy server holds the job in service, so q >= 1 when w = B
-        if not (1 <= state.s <= n and state.w in (0, 1) and state.q >= state.w):
-            raise ValueError(
-                f"(s, w, q) = ({state.s}, {state.w}, {state.q}) is not a state for n_s={n}: "
-                "s must lie in 1..n_s, q >= 0, and q >= 1 when busy"
-            )
-    if theta.table.shape[2] != n:
+        check_state(spec.n_s, *state)
+    if theta.table.shape[2] != spec.n_s:
         raise ValueError("policy table does not match spec")
 
 

@@ -226,7 +226,7 @@ def check_potential(spec: ServerSpec) -> tuple:
         phi = threshold_policy(spec.n_s, tau)
         P = ybar_matrix(spec, phi)
         g = service_reward(spec, phi)
-        pf = potential_function(P, g)
+        pf = potential_function(spec, phi, g)
         resid = float(np.max(np.abs(g - (P @ pf.h - pf.h) - pf.r_avg)))
         nu_tau, _ = threshold_rates(spec, tau)
         worst_res = max(worst_res, resid)

@@ -5,20 +5,17 @@ Reference numbers were frozen from an exact fraction-arithmetic solve of
 the balance equations, then rounded once to double precision.
 """
 
-import collections
-
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dense_chain import classes_by_search, stationary_by_class
+
 from minwork import chain
 from minwork.chain import (
-    BALANCE_TOL,
-    NEGATIVE_TOL,
     DaggerDecomposition,
     NonUniqueStationaryError,
-    communicating_classes,
     dagger_rates,
     decompose_dagger_policy,
     max_service_rate,
@@ -26,7 +23,6 @@ from minwork.chain import (
     potential_function,
     service_rate,
     service_reward,
-    stationary_pmf,
     stationary_pmf_y,
     threshold_policy,
     threshold_rates,
@@ -45,27 +41,51 @@ REFERENCE_TABLE = (
 )
 
 
+def _random_model(rng, n):
+    return ServerSpec(
+        n_s=n,
+        mu=rng.uniform(0.02, 0.95, n),
+        rho_up=rng.uniform(0.02, 0.5, n - 1),
+        rho_down=rng.uniform(0.02, 0.5, n - 1),
+    )
+
+
+def _one_state_spec():
+    return ServerSpec(n_s=1, mu=[0.6], rho_up=[0.0], rho_down=[0.0])
+
+
 def test_stationary_pmf_two_state():
-    # balance: pi0 * 0.1 = pi1 * 0.6, so pi = (6/7, 1/7)
-    P = np.array([[0.9, 0.1], [0.6, 0.4]])
-    np.testing.assert_allclose(stationary_pmf(P), [6 / 7, 1 / 7], atol=1e-14)
+    # at n_s = 1, working w.p. 1/4 at (1, A) leaves for (1, B) w.p. 0.1 and
+    # completes back w.p. 0.6: pi0 * 0.1 = pi1 * 0.6, so pi = (6/7, 1/7)
+    pi = stationary_pmf_y(_one_state_spec(), PolicyY([0.25]))
+    np.testing.assert_allclose(pi, [6 / 7, 1 / 7], atol=1e-14)
 
 
-def test_stationary_pmf_skips_transient_states():
-    # state 2 drains into the 2-cycle {0, 1} and carries no mass
-    P = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.5, 0.0, 0.5]])
-    np.testing.assert_allclose(stationary_pmf(P), [0.5, 0.5, 0.0], atol=1e-14)
+def test_stationary_pmf_skips_transient_states(spec5):
+    # threshold 4 works surely at level 3, so levels 1 and 2 drain into
+    # the levels above and carry exactly no mass
+    phi = threshold_policy(5, 4)
+    pi = stationary_pmf_y(spec5, phi)
+    assert np.flatnonzero(pi).tolist() == [2, 3, 4, 7, 8, 9]
+    np.testing.assert_allclose(pi, stationary_by_class(ybar_matrix(spec5, phi)), atol=1e-14)
 
 
-def test_stationary_pmf_rejects_two_recurrent_classes():
-    P = np.eye(2)
-    with pytest.raises(NonUniqueStationaryError) as err:
-        stationary_pmf(P)
-    classes = err.value.classes
-    assert sum(1 for _, rec in classes if rec) == 2
+def test_stationary_pmf_rejects_two_recurrent_classes(spec5):
+    # resting at (1, A) keeps it; working surely at level 2 keeps the
+    # levels from 2 up: both classes are carried, as sorted index lists
+    phi = PolicyY([0.0, 1.0, 0.3, 0.0, 0.0])
+    with pytest.raises(NonUniqueStationaryError, match="2 recurrent classes") as err:
+        stationary_pmf_y(spec5, phi)
+    assert err.value.classes == [[0], [1, 2, 3, 4, 6, 7, 8, 9]]
+    assert err.value.classes == [c for c, r in classes_by_search(ybar_matrix(spec5, phi).tolist()) if r]
+    with pytest.raises(NonUniqueStationaryError):
+        potential_function(spec5, phi, service_reward(spec5, phi))
 
 
 def test_communicating_classes_partition():
+    # the tests' class search, which recurrent_sets, the level solve
+    # and the QBD drift test are checked against, on a chain with a
+    # transient class
     P = np.array(
         [
             [0.5, 0.5, 0.0, 0.0],
@@ -74,136 +94,35 @@ def test_communicating_classes_partition():
             [0.0, 0.0, 0.0, 1.0],
         ]
     )
-    classes = {tuple(c): rec for c, rec in communicating_classes(P)}
+    classes = {tuple(c): rec for c, rec in classes_by_search(P.tolist())}
     assert classes == {(0, 1): True, (2,): False, (3,): True}
 
 
-def _classes_by_search(P):
-    """The classes by definition: breadth-first reachability per state,
-    classes as mutually reachable sets, recurrence as closure, listed
-    by smallest member."""
-    n = len(P)
-    reach = []
-    for i in range(n):
-        seen, queue = {i}, collections.deque([i])
-        while queue:
-            v = queue.popleft()
-            for u in range(n):
-                if P[v][u] > 0 and u not in seen:
-                    seen.add(u)
-                    queue.append(u)
-        reach.append(seen)
-    classes = []
-    for i in range(n):
-        members = [j for j in range(n) if j in reach[i] and i in reach[j]]
-        if members[0] == i:
-            classes.append((members, reach[i] == set(members)))
-    return classes
-
-
 @settings(max_examples=60, deadline=None)
-@given(n=st.integers(1, 40), degree=st.floats(0.0, 3.0), seed=st.integers(0, 2**32 - 1))
-def test_communicating_classes_match_definition(n, degree, seed):
-    # about `degree` edges per state keeps the supports sparse enough
-    # for many classes, transient and recurrent, at every size
-    rng = np.random.default_rng(seed)
-    P = rng.random((n, n)) * (rng.random((n, n)) < degree / n)
-    assert communicating_classes(P) == _classes_by_search(P.tolist())
-
-
-def _stationary_by_class(P):
-    """The stationary PMF solved on the recurrent class alone, with the
-    classes found by search: the solve, cut-off, checks and scaling of
-    stationary_pmf, for every chain."""
-    classes = _classes_by_search(P.tolist())
-    recurrent = [c for c, r in classes if r]
-    if len(recurrent) != 1:
-        raise NonUniqueStationaryError(classes)
-    members = recurrent[0]
-    k = len(members)
-    A = P[np.ix_(members, members)].T - np.eye(k)
-    A[-1, :] = 1.0
-    rhs = np.zeros(k)
-    rhs[-1] = 1.0
-    pi = np.zeros(P.shape[0])
-    pi[members] = np.linalg.solve(A, rhs)
-    pi[np.abs(pi) < 1e-15] = 0.0
-    if np.any(pi < -NEGATIVE_TOL) or abs(pi.sum() - 1.0) > BALANCE_TOL:
-        raise NumericalFailure("stationary PMF fails sign or normalization checks")
-    np.maximum(pi, 0.0, out=pi)
-    pi /= pi.sum()
-    if np.max(np.abs(pi @ P - pi)) > BALANCE_TOL:
-        raise NumericalFailure("stationary PMF fails balance checks")
-    return pi
-
-
-@settings(max_examples=150, deadline=None)
 @given(
-    n=st.integers(1, 8),
-    density=st.floats(0.0, 1.0),
-    cycle=st.booleans(),
+    n=st.integers(1, 40),
+    kinds=st.lists(st.sampled_from("01u"), min_size=40, max_size=40),
+    sure_nowhere=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_stationary_pmf_matches_class_restricted_solve(n, density, cycle, seed):
-    # random zero patterns give irreducible chains, chains with transient
-    # states and chains with several recurrent classes; the cycle
-    # 0 -> 1 -> ... -> 0 makes a chain irreducible. The solve on P itself
-    # equals the solve on its one recurrent class bit for bit, and both
-    # report the same partition when there is none
+def test_communicating_classes_match_definition(n, kinds, sure_nowhere, seed):
+    # the recurrent classes read off the policy are those of ybar_matrix
+    # by search, for policies with entries 0, 1 or U(0, 1), some working
+    # surely nowhere, so phi(1) = 0 comes with T = 0 and with T >= 2
     rng = np.random.default_rng(seed)
-    P = rng.random((n, n)) * (rng.random((n, n)) < density)
-    if cycle:
-        P[np.arange(n), (np.arange(n) + 1) % n] += rng.uniform(0.01, 1.0, n)
-    P[np.arange(n), np.arange(n)] += P.sum(axis=1) == 0.0
-    P /= P.sum(axis=1, keepdims=True)
-    try:
-        expect = _stationary_by_class(P)
-    except (NonUniqueStationaryError, NumericalFailure) as exc:
-        with pytest.raises(type(exc)) as err:
-            stationary_pmf(P)
-        if isinstance(exc, NonUniqueStationaryError):
-            assert err.value.classes == exc.classes
-        else:
-            assert str(err.value) == str(exc)
-        return
-    np.testing.assert_array_equal(stationary_pmf(P), expect)
-
-
-@pytest.mark.parametrize(
-    "P",
-    [
-        [[0.5, 0.5], [np.nan, 0.5]],
-        [[0.5, 0.5], [np.inf, 0.5]],
-        [[1.5, -0.5], [0.5, 0.5]],
-        [[0.5, 0.4], [0.5, 0.5]],
-        [[0.5, 0.5]],
-        [[[1.0]]],
-        np.zeros((0, 0)),
-    ],
-)
-def test_stationary_pmf_rejects_a_matrix_that_is_not_stochastic(P):
-    with pytest.raises(ValueError, match="P "):
-        stationary_pmf(P)
+    spec = _random_model(rng, n)
+    kinds = [k.replace("1", "u") if sure_nowhere else k for k in kinds[:n]]
+    phi = PolicyY([{"0": 0.0, "1": 1.0}.get(k, rng.uniform()) for k in kinds])
+    expect = [c for c, r in classes_by_search(ybar_matrix(spec, phi).tolist()) if r]
+    assert chain.recurrent_sets(phi) == expect
 
 
 def test_audits_fail_on_nan(monkeypatch, spec5):
-    # a NaN residual compares False against any bound; both audits must
+    # a NaN residual compares False against any bound; the audit must
     # still fail on it
-    monkeypatch.setattr(np.linalg, "solve", lambda a, b: np.full(len(b), np.nan))
-    with pytest.raises(NumericalFailure, match="normalization"):
-        stationary_pmf([[0.9, 0.1], [0.6, 0.4]])
     monkeypatch.setattr(chain, "_level_solve", lambda P, n, low: np.full(2 * n, np.nan))
     with pytest.raises(NumericalFailure, match="normalization"):
         stationary_pmf_y(spec5, threshold_policy(5, 3))
-
-
-def _random_model(rng, n):
-    return ServerSpec(
-        n_s=n,
-        mu=rng.uniform(0.02, 0.95, n),
-        rho_up=rng.uniform(0.02, 0.5, n - 1),
-        rho_down=rng.uniform(0.02, 0.5, n - 1),
-    )
 
 
 @settings(max_examples=80, deadline=None)
@@ -214,8 +133,8 @@ def _random_model(rng, n):
 )
 def test_level_solve_matches_dense_solve(n, kinds, seed):
     # every threshold, a policy with entries 0, 1 or U(0, 1), and the same
-    # policy resting at (1, A): the level solve and stationary_pmf on
-    # ybar_matrix raise alike, and otherwise agree to 1e-11 with exact
+    # policy resting at (1, A): the level solve and the tests' dense solve
+    # on ybar_matrix raise alike, and otherwise agree to 1e-11 with exact
     # zeros off the recurrent class (the dense solve also zeroes masses
     # below 1e-15 on it)
     rng = np.random.default_rng(seed)
@@ -227,14 +146,14 @@ def test_level_solve_matches_dense_solve(n, kinds, seed):
     for phi in policies:
         P = ybar_matrix(spec, phi)
         try:
-            expect = stationary_pmf(P)
+            expect = stationary_by_class(P)
         except NonUniqueStationaryError as exc:
             with pytest.raises(NonUniqueStationaryError) as err:
                 stationary_pmf_y(spec, phi)
             assert err.value.classes == exc.classes
             continue
         got = stationary_pmf_y(spec, phi)
-        (recurrent,) = [c for c, r in communicating_classes(P) if r]
+        (recurrent,) = [c for c, r in classes_by_search(P.tolist()) if r]
         assert np.flatnonzero(got).tolist() == recurrent
         assert np.all(expect[got == 0.0] == 0.0)
         assert np.max(np.abs(got - expect)) <= 1e-11
@@ -306,7 +225,6 @@ def test_level_solve_uses_no_closure_and_no_lapack(monkeypatch, spec5):
     def boom(*args, **kwargs):
         raise AssertionError("called on the level solve's path")
 
-    monkeypatch.setattr(chain, "_closure", boom)
     for name in dir(np.linalg):
         if callable(getattr(np.linalg, name)) and not isinstance(getattr(np.linalg, name), type):
             monkeypatch.setattr(np.linalg, name, boom)
@@ -357,7 +275,7 @@ def test_potential_identity_threshold_policies(spec5):
         phi = threshold_policy(5, tau)
         P = ybar_matrix(spec5, phi)
         g = service_reward(spec5, phi)
-        pot = potential_function(P, g)
+        pot = potential_function(spec5, phi, g)
         resid = np.max(np.abs(g - (P @ pot.h - pot.h) - pot.r_avg))
         assert resid < 1e-9
         assert pot.r_avg == pytest.approx(service_rate(spec5, phi), abs=1e-10)
@@ -365,11 +283,12 @@ def test_potential_identity_threshold_policies(spec5):
 
 
 def test_potential_accepts_transition_rewards():
-    P = np.array([[0.9, 0.1], [0.6, 0.4]])
+    spec, phi = _one_state_spec(), PolicyY([0.25])
+    P = ybar_matrix(spec, phi)
     R = np.array([[0.0, 1.0], [1.0, 0.0]])  # reward on switching
-    pot = potential_function(P, R)
+    pot = potential_function(spec, phi, R)
     g = np.einsum("ij,ij->i", P, R)
-    assert pot.r_avg == pytest.approx(stationary_pmf(P) @ g, abs=1e-12)
+    assert pot.r_avg == pytest.approx(stationary_pmf_y(spec, phi) @ g, abs=1e-12)
 
 
 def test_mixing_constants_recomputed(spec5):
@@ -467,8 +386,9 @@ def test_no_policy_beats_best_threshold(spec5):
 
 
 def test_chain_mixes_from_any_start(spec5):
-    P = ybar_matrix(spec5, threshold_policy(5, 5))
-    pi = stationary_pmf(P)
+    phi = threshold_policy(5, 5)
+    P = ybar_matrix(spec5, phi)
+    pi = stationary_pmf_y(spec5, phi)
     Pk = np.linalg.matrix_power(P, 4096)
     for row in Pk:
         assert np.max(np.abs(row - pi)) < 1e-9

@@ -2,6 +2,7 @@
 
 import copy
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -77,6 +78,8 @@ def test_spec_validation():
         ServerSpec(**{**ok, "rho_down": [0.1, 0.5]})  # bottom entry must be 0
     with pytest.raises(ValueError):
         ServerSpec(**{**ok, "n_s": 0})
+    with pytest.raises(ValueError, match="n_s must be a positive integer, got True"):
+        ServerSpec(n_s=True, mu=[0.5], rho_up=[0.0], rho_down=[0.0])  # a bool is an int to isinstance
     # short forms omit the forced boundary zeros
     s = ServerSpec(n_s=2, mu=[0.5, 0.5], rho_up=[0.5], rho_down=[0.5])
     assert s.rho_up[-1] == 0.0 and s.rho_down[0] == 0.0
@@ -213,6 +216,24 @@ def test_policy_validation():
     np.testing.assert_array_equal(tbl[0], 0.0)
 
 
+@pytest.mark.parametrize(("s", "w"), [(0, A), (-1, A), (3, A), (0, B), (3, B), (1, 2)])
+def test_reduced_state_accessors_reject_states_out_of_range(s, w):
+    # s - 1 = -1 would index the last entry; each names the state instead
+    msg = re.escape(f"({s}, {w}) is not a reduced state for n_s=2: s must lie in 1..n_s")
+    with pytest.raises(ValueError, match=msg):
+        PolicyY(np.array([0.25, 1.0]))(s, w)
+    with pytest.raises(ValueError, match=msg):
+        y_index(2, s, w)
+
+
+@pytest.mark.parametrize(("s", "w", "q"), [(0, A, 0), (1, A, -1), (3, A, 1), (1, B, 0), (1, 2, 1)])
+def test_policy_x_work_prob_rejects_states_out_of_range(s, w, q):
+    # q = -1 would read the last table row and s = 0 the last column
+    theta = lift_policy(PolicyY(np.array([0.25, 1.0])))
+    with pytest.raises(ValueError, match=rf"\({s}, {w}, {q}\) is not a state for n_s=2: s must lie in 1..n_s"):
+        theta.work_prob(s, w, q)
+
+
 def test_policy_x_validation():
     good = np.zeros((3, 2, 2))
     good[1:, 1] = 1.0
@@ -343,3 +364,6 @@ def test_load_spec_errors(tmp_path):
         load_spec(p)
     with pytest.raises(OSError):
         load_spec(tmp_path / "absent.yaml")
+    p.write_text("n_s: true\nmu: [0.5]\nrho_up: [0.0]\nrho_down: [0.0]\n")
+    with pytest.raises(ValueError, match="n_s must be a positive integer, got True"):
+        load_spec(p)

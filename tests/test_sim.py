@@ -12,6 +12,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from dense_chain import classes_by_search, reach_by_search, stationary_by_class
+
 from minwork import sim
 from minwork.chain import max_service_rate, service_rate, threshold_policy
 from minwork.frontier import NotStabilizableError, policy_from_occupation, solve_lp
@@ -24,6 +26,7 @@ from minwork.model import (
     ServerSpec,
     SystemState,
     x_transition,
+    y_state,
 )
 from minwork.sim import (
     SimConfig,
@@ -165,6 +168,16 @@ def test_truncated_stationary_invariants(spec5):
     assert pmf.y_totals().sum() == pytest.approx(1.0, abs=1e-10)
     assert pmf.y_marginal().sum() == pytest.approx(1.0 - pmf.empty_mass(), abs=1e-10)
     assert pmf.mass(1, A, 0) > 0.0
+
+
+@pytest.mark.parametrize(("s", "w", "q"), [(0, A, 0), (1, A, -1), (6, A, 1), (1, B, 0), (1, A, 9), (1, 2, 1)])
+def test_truncated_mass_rejects_states_out_of_range(spec5, s, w, q):
+    # unchecked, s = 0 and q = -1 index from the end: at q_max = 8,
+    # (0, A, 0) reads the last state and (1, A, -1) a state at level 7
+    pmf = truncated_stationary(spec5, 0.15, _theta5(), 8)
+    with pytest.raises(ValueError, match=rf"\({s}, {w}, {q}\) is not a state for n_s=5 and q_max=8"):
+        pmf.mass(s, w, q)
+    assert pmf.mass(5, B, 8) == pmf.probs[-1]
 
 
 def test_truncated_auto_doubles_until_tail_clears(spec5, monkeypatch):
@@ -325,6 +338,61 @@ def test_qbd_raises_on_unstable_policy(spec5):
     rate = service_rate(spec5, theta.base)
     with pytest.raises(NotStabilizableError, match=f"serves {rate:.6g} .* arrival rate 0.15"):
         qbd_stationary(spec5, 0.15, theta)
+
+
+def _drift_reference(spec, lam, theta):
+    """The drift test by definition: the classes of up + local + down
+    by search, the recurrent ones that the phases level 0 feeds reach,
+    and the least of their service rates by the dense solve, with its
+    class."""
+    n = spec.n_s
+    (b0_up, up), (_, local), (_, down) = sim._level_blocks(spec, lam, theta.table)
+    phases = up + local + down
+    served_at = theta.base.full * np.concatenate([spec.mu, spec.mu])
+    reach = reach_by_search(phases.tolist())
+    reached = set().union(*(reach[i] for i in np.flatnonzero((b0_up[:n] > 0.0).any(axis=0))))
+    return min(
+        (float(stationary_by_class(phases[np.ix_(c, c)]) @ served_at[c]), c)
+        for c, recurrent in classes_by_search(phases.tolist())
+        if recurrent and c[0] in reached
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(1, 15),
+    kinds=st.lists(st.sampled_from("01u"), min_size=15, max_size=15),
+    sure_nowhere=st.booleans(),
+    factor=st.one_of(st.floats(0.5, 0.95), st.floats(1.05, 1.5)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_drift_verdict_matches_dense_reference(n, kinds, sure_nowhere, factor, seed):
+    # policies with entries 0, 1 or U(0, 1), some working surely nowhere,
+    # so that phi(1) = 0 comes with T = 0 and with T >= 2; lam lies on
+    # either side of the reference rate (or in (0.01, 0.6) when it is 0).
+    # qbd_stationary refuses exactly when the reference does, and names
+    # the same class
+    rng = np.random.default_rng(seed)
+    spec = ServerSpec(
+        n_s=n,
+        mu=rng.uniform(0.02, 0.95, n),
+        rho_up=rng.uniform(0.02, 0.5, n - 1),
+        rho_down=rng.uniform(0.02, 0.5, n - 1),
+    )
+    kinds = [k.replace("1", "u") if sure_nowhere else k for k in kinds[:n]]
+    wp = np.array([{"0": 0.0, "1": 1.0}.get(k, rng.uniform()) for k in kinds])
+    theta = lift_policy(PolicyY(wp))
+    rate, _ = _drift_reference(spec, 0.5, theta)
+    lam = rate * factor if rate > 0.0 else rng.uniform(0.01, 0.6)
+    assume(0.0 < lam < 1.0)
+    rate, slowest = _drift_reference(spec, lam, theta)
+    if rate > lam + sim.DRIFT_TOL:
+        qbd_stationary(spec, lam, theta)
+        return
+    states = ", ".join(f"({y.s}, {y.w.name})" for y in (y_state(n, i) for i in slowest))
+    with pytest.raises(NotStabilizableError) as err:
+        qbd_stationary(spec, lam, theta)
+    assert str(err.value).endswith(f"(phase class {{{states}}})")
 
 
 def test_log_reduction_reports_a_diverging_t(spec5):
