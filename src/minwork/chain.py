@@ -9,7 +9,9 @@ mixtures of threshold policies.
 Every stationary law of the reduced chain comes from one solver,
 stationary_pmf_y: GTH elimination level by level in activity-state
 order, in time linear in n_s, with the recurrent classes read off the
-policy (recurrent_sets). There is no general-matrix solver.
+policy (recurrent_sets). It reads the per-level rates of P_W and P_R
+that the spec keeps (_chain_rates), builds no 2 n_s x 2 n_s matrix,
+and audits its answer in O(n_s). There is no general-matrix solver.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .model import (
     NumericalFailure,
     PolicyY,
     ServerSpec,
+    _kernel_matrices,
     y_index,
     ybar_matrix,
 )
@@ -65,13 +68,72 @@ def recurrent_sets(phi: PolicyY) -> list[list[int]]:
     return classes
 
 
-def _audit(pi: np.ndarray, P: np.ndarray) -> np.ndarray:
+class _ChainRates(NamedTuple):
+    """The work kernel's and the rest kernel's rates at each activity
+    level, as tuples of floats over levels 0..n_s-1 (0-based), and
+    [mu | mu] over the reduced states. P_W's rows are the same at (s, A)
+    and (s, B); P_R acts only at (s, A), since a busy server works."""
+
+    stay_a: tuple  # work, the level stays, the job completes: (s, w) -> (s, A)
+    stay_b: tuple  # work, the level stays, no completion: (s, w) -> (s, B)
+    up_a: tuple  # work, up a level, completion: (s, w) -> (s + 1, A); n_s - 1 entries
+    up_b: tuple  # work, up a level, no completion: (s, w) -> (s + 1, B); n_s - 1 entries
+    rest_stay: tuple  # rest, the level stays: (s, A) -> (s, A)
+    rest_down: tuple  # rest, down a level: rest_down[s] is (s + 1, A) -> (s, A); n_s - 1 entries
+    mu2: np.ndarray
+
+
+def _chain_rates(spec: ServerSpec) -> _ChainRates:
+    """The rates the level solve and its audit read, read once off
+    model._kernel_matrices' P_W and P_R, which stay their one source.
+    The spec is immutable, so the first call keeps them on it; the
+    tuples cannot change and mu2 is read-only."""
+    cached = getattr(spec, "_chain_rates", None)
+    if cached is not None:
+        return cached
+    n = spec.n_s
+    pw, pr = _kernel_matrices(spec)
+    lv, lo = np.arange(n), np.arange(n - 1)
+    mu2 = np.concatenate([spec.mu, spec.mu])
+    mu2.setflags(write=False)
+    levels = (pw[lv, lv], pw[lv, n + lv], pw[lo, lo + 1], pw[lo, n + lo + 1], pr[lv, lv], pr[lo + 1, lo])
+    rates = _ChainRates(*(tuple(a.tolist()) for a in levels), mu2)
+    object.__setattr__(spec, "_chain_rates", rates)
+    return rates
+
+
+def _balance_residual(pi: list, rates: _ChainRates, wp: list) -> float:
+    """||pi P - pi||_inf over all 2 n_s states for the reduced chain's P
+    under phi, from the in-flows of each state: (s, A) gains from
+    (s, A), (s, B), (s - 1, A), (s - 1, B) and, by a rest, (s + 1, A);
+    (s, B) from the same states less (s + 1, A). A NaN anywhere makes
+    the residual NaN."""
+    stay_a, stay_b, up_a, up_b, rest_stay, rest_down, _ = rates
+    n = len(wp)
+    worst = 0.0
+    for i in range(n):
+        pa, pb, w = pi[i], pi[n + i], wp[i]
+        to_a = pa * (w * stay_a[i] + (1.0 - w) * rest_stay[i]) + pb * stay_a[i]
+        to_b = pa * (w * stay_b[i]) + pb * stay_b[i]
+        if i:
+            qa, qb, v = pi[i - 1], pi[n + i - 1], wp[i - 1]
+            to_a += qa * (v * up_a[i - 1]) + qb * up_a[i - 1]
+            to_b += qa * (v * up_b[i - 1]) + qb * up_b[i - 1]
+        if i < n - 1:
+            to_a += pi[i + 1] * ((1.0 - wp[i + 1]) * rest_down[i])
+        for r in (abs(to_a - pa), abs(to_b - pb)):
+            if r > worst or math.isnan(r):
+                worst = r
+    return worst
+
+
+def _audit(pi: list, rates: _ChainRates, wp: list) -> np.ndarray:
     # "not r <= tol" so that a NaN residual fails too
-    if not abs(pi.sum() - 1.0) <= BALANCE_TOL:
+    if not abs(sum(pi) - 1.0) <= BALANCE_TOL:
         raise NumericalFailure("stationary PMF fails sign or normalization checks")
-    if not np.max(np.abs(pi @ P - pi)) <= BALANCE_TOL:
+    if not _balance_residual(pi, rates, wp) <= BALANCE_TOL:
         raise NumericalFailure("stationary PMF fails balance checks")
-    return pi
+    return np.array(pi)
 
 
 def stationary_pmf_y(spec: ServerSpec, phi: PolicyY) -> np.ndarray:
@@ -80,30 +142,38 @@ def stationary_pmf_y(spec: ServerSpec, phi: PolicyY) -> np.ndarray:
 
     In activity-level order the reduced chain is block tridiagonal with
     2 x 2 blocks over (A, B): the level moves by at most one per step,
-    and only a rest at (s, A) moves it down. GTH elimination (Grassmann,
-    Taksar & Heyman 1985) censors out the levels from n_s down to the
-    lowest recurrent level b without fill, then recovers the levels
-    upward; every pivot is a sum of out-flows and no step subtracts.
-    The blocks are read off ybar_matrix, whose P also audits the answer.
+    and only a rest at (s, A) moves it down, to (s - 1, A). GTH
+    elimination (Grassmann, Taksar & Heyman 1985) censors out the levels
+    from n_s down to the lowest recurrent level b without fill, then
+    recovers the levels upward; every pivot is a sum or product of
+    out-flows and no step subtracts. The flows are the spec's cached
+    per-level rates of P_W and P_R (_chain_rates) times phi's work
+    probabilities, on Python floats; no 2 n_s x 2 n_s matrix is built.
+    The answer is audited for normalization and for balance over all
+    2 n_s states, from the at most five in-flows of each, in O(n_s).
 
     The recurrent class comes from recurrent_sets: the levels from b
     up when phi(1) > 0, the law at (1, A) when phi(1) = 0 and phi works
     surely nowhere, and NonUniqueStationaryError carrying both classes
     when phi(1) = 0 and phi works surely at some level T >= 2. Raises
-    NumericalFailure when a pivot or the total mass is not a finite
-    normal float, or the answer fails its normalization or balance audit.
+    ValueError when phi's size is not the spec's, and NumericalFailure
+    when a pivot or the total mass is not a finite normal float, or the
+    answer fails its normalization or balance audit.
     """
-    P = ybar_matrix(spec, phi)
+    if phi.n_s != spec.n_s:
+        raise ValueError(f"policy must give {spec.n_s} work probabilities, got shape {phi.work_prob.shape}")
+    rates = _chain_rates(spec)
+    wp = phi.work_prob.tolist()
     classes = recurrent_sets(phi)
     if len(classes) > 1:
         raise NonUniqueStationaryError(classes)
     (members,) = classes
     if members == [0]:  # (1, A) alone
-        pi = np.zeros(2 * spec.n_s)
+        pi = [0.0] * (2 * spec.n_s)
         pi[0] = 1.0
     else:
-        pi = _level_solve(P, spec.n_s, members[0])
-    return _audit(pi, P)
+        pi = _level_solve(rates, wp, members[0])
+    return _audit(pi, rates, wp)
 
 
 def _pivot(value: float, level: int) -> float:
@@ -113,45 +183,41 @@ def _pivot(value: float, level: int) -> float:
     return value
 
 
-def _level_solve(P: np.ndarray, n: int, low: int) -> np.ndarray:
-    """GTH on the levels low..n-1 (0-based) of the reduced chain, the
-    levels below low carrying no mass; the censored chain at level low
-    must have no down-flow."""
-    P4 = P.reshape(2, n, 2, n)
-    (_, x), (y, _) = np.diagonal(P4, 0, 1, 3).tolist()  # x[i]: (i, A) -> (i, B); y[i]: back
-    up = np.diagonal(P4, 1, 1, 3).tolist()  # up[w][v][i]: (i, w) -> (i + 1, v)
-    down = np.diagonal(P4, -1, 1, 3).tolist()  # down[w][v][i]: (i + 1, w) -> (i, v)
-    (uaa, uba), (uab, ubb) = (up[0][0], up[1][0]), (up[0][1], up[1][1])
-    (daa, dba), (dab, dbb) = (down[0][0], down[1][0]), (down[0][1], down[1][1])
-    inv = [None] * n  # adjugate and determinant of I - L_i, L_i the censored block of level i
+def _level_solve(rates: _ChainRates, wp: list, low: int) -> list:
+    """GTH on the levels low..n-1 (0-based) of the reduced chain under
+    the work probabilities wp, the levels below low carrying no mass;
+    the censored chain at level low must have no down-flow. Returns
+    the law over the 2 n states as a list."""
+    stay_a, stay_b, up_a, up_b, _, rest_down, _ = rates
+    n = len(wp)
+    x = [w * r for w, r in zip(wp, stay_b)]  # x[i]: (i, A) -> (i, B)
+    y = list(stay_a)  # y[i]: (i, B) -> (i, A), grown by the censoring below
+    dets, k_bb = [0.0] * n, [0.0] * n
     for i in range(n - 1, low, -1):
-        # censor level i out: from (i, w) the chain next enters level i - 1
-        # at (i - 1, v) w.p. m_wv, which reroutes level i - 1's up-flows
-        j = i - 1
-        xi, yi, d_aa, d_ab, d_ba, d_bb = x[i], y[i], daa[j], dab[j], dba[j], dbb[j]
-        da, db = d_aa + d_ab, d_ba + d_bb
-        det = _pivot(xi * db + yi * da + da * db, i + 1)
-        inv[i] = k_aa, k_ab, k_ba, k_bb, _ = yi + db, xi, yi, xi + da, det
-        m_aa = (k_aa * d_aa + k_ab * d_ba) / det
-        m_ab = (k_aa * d_ab + k_ab * d_bb) / det
-        m_ba = (k_ba * d_aa + k_bb * d_ba) / det
-        m_bb = (k_ba * d_ab + k_bb * d_bb) / det
-        x[j] += uaa[j] * m_ab + uab[j] * m_bb
-        y[j] += uba[j] * m_aa + ubb[j] * m_ba
+        # censor level i out. The chain leaves it downward only by a rest
+        # at (i, A), to (i - 1, A), so it next enters level i - 1 there:
+        # level i - 1's up-flows from (i - 1, B) reroute to (i - 1, A),
+        # and those from (i - 1, A) return to it and drop out
+        down = (1.0 - wp[i]) * rest_down[i - 1]
+        dets[i] = _pivot(y[i] * down, i + 1)  # det(I - L_i), L_i level i's censored block
+        k_bb[i] = x[i] + down
+        y[i - 1] += up_a[i - 1] + up_b[i - 1]
     # level low alone: a two-state chain with out-flows x and y
     _pivot(x[low] + y[low], low + 1)
     pa, pb = [0.0] * n, [0.0] * n
     pa[low], pb[low] = y[low], x[low]
     for i in range(low + 1, n):
         j = i - 1
-        ra, rb = pa[j] * uaa[j] + pb[j] * uba[j], pa[j] * uab[j] + pb[j] * ubb[j]
-        k_aa, k_ab, k_ba, k_bb, det = inv[i]
-        pa[i] = (ra * k_aa + rb * k_ba) / det
-        pb[i] = (ra * k_ab + rb * k_bb) / det
+        w = wp[j]
+        ra = pa[j] * (w * up_a[j]) + pb[j] * up_a[j]
+        rb = pa[j] * (w * up_b[j]) + pb[j] * up_b[j]
+        # (ra, rb) times the adjugate [[y, x], [y, x + down]] of I - L_i
+        pa[i] = (ra * y[i] + rb * y[i]) / dets[i]
+        pb[i] = (ra * x[i] + rb * k_bb[i]) / dets[i]
     total = sum(pa) + sum(pb)
     if not _TINY <= total < math.inf:
         raise NumericalFailure(f"level solve total mass {total:.3e} is not a finite normal float")
-    return np.array(pa + pb) / total
+    return [v / total for v in pa + pb]
 
 
 def service_rate(spec: ServerSpec, phi: PolicyY, pi: np.ndarray | None = None) -> float:
@@ -159,8 +225,7 @@ def service_rate(spec: ServerSpec, phi: PolicyY, pi: np.ndarray | None = None) -
     sum over states of mu(s) * phi(y) * pi(y)."""
     if pi is None:
         pi = stationary_pmf_y(spec, phi)
-    mu2 = np.concatenate([spec.mu, spec.mu])
-    return float(np.dot(pi * phi.full, mu2))
+    return float(np.dot(pi * phi.full, _chain_rates(spec).mu2))
 
 
 def utilization_rate_y(spec: ServerSpec, phi: PolicyY, pi: np.ndarray | None = None) -> float:
@@ -258,8 +323,7 @@ def potential_function(spec: ServerSpec, phi: PolicyY, reward) -> PotentialFunct
 def service_reward(spec: ServerSpec, phi: PolicyY) -> np.ndarray:
     """Expected completion probability per step as a state reward:
     g(y) = phi(y) * mu(s). Its average is the service rate."""
-    mu2 = np.concatenate([spec.mu, spec.mu])
-    return phi.full * mu2
+    return phi.full * _chain_rates(spec).mu2
 
 
 @dataclass(frozen=True)

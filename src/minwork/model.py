@@ -404,9 +404,12 @@ def ybar_matrix(spec: ServerSpec, phi) -> np.ndarray:
     """Row-stochastic one-step matrix of the reduced chain under phi.
 
     phi may be a PolicyY or a plain length-n_s vector of work
-    probabilities at the available states.
+    probabilities at the available states, which goes through PolicyY's
+    checks: ValueError unless every entry lies in [0, 1].
     """
-    wp = np.asarray(getattr(phi, "work_prob", phi), dtype=float)
+    if not isinstance(phi, PolicyY):
+        phi = PolicyY(phi)
+    wp = phi.work_prob
     if wp.shape != (spec.n_s,):
         raise ValueError(f"policy must give {spec.n_s} work probabilities, got shape {wp.shape}")
     pw, pr = _kernel_matrices(spec)

@@ -41,6 +41,11 @@ def classes_by_search(P):
     return classes
 
 
+def balance_residual(P, pi):
+    """||pi P - pi||_inf by a dense product."""
+    return float(np.max(np.abs(pi @ P - pi)))
+
+
 def stationary_by_class(P):
     """The stationary PMF solved on the recurrent class alone, with the
     classes found by search: the balance equations with normalization in
@@ -64,6 +69,6 @@ def stationary_by_class(P):
         raise NumericalFailure("stationary PMF fails sign or normalization checks")
     np.maximum(pi, 0.0, out=pi)
     pi /= pi.sum()
-    if np.max(np.abs(pi @ P - pi)) > BALANCE_TOL:
+    if balance_residual(P, pi) > BALANCE_TOL:
         raise NumericalFailure("stationary PMF fails balance checks")
     return pi

@@ -5,14 +5,19 @@ Reference numbers were frozen from an exact fraction-arithmetic solve of
 the balance equations, then rounded once to double precision.
 """
 
+import collections
+import hashlib
+import math
+import pickle
+
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dense_chain import classes_by_search, stationary_by_class
+from dense_chain import balance_residual, classes_by_search, stationary_by_class
 
-from minwork import chain
+from minwork import chain, model
 from minwork.chain import (
     DaggerDecomposition,
     NonUniqueStationaryError,
@@ -59,6 +64,8 @@ def test_stationary_pmf_two_state():
     # completes back w.p. 0.6: pi0 * 0.1 = pi1 * 0.6, so pi = (6/7, 1/7)
     pi = stationary_pmf_y(_one_state_spec(), PolicyY([0.25]))
     np.testing.assert_allclose(pi, [6 / 7, 1 / 7], atol=1e-14)
+    with pytest.raises(ValueError, match="policy must give 1 work probabilities"):
+        stationary_pmf_y(_one_state_spec(), PolicyY([0.25, 0.25]))
 
 
 def test_stationary_pmf_skips_transient_states(spec5):
@@ -120,7 +127,7 @@ def test_communicating_classes_match_definition(n, kinds, sure_nowhere, seed):
 def test_audits_fail_on_nan(monkeypatch, spec5):
     # a NaN residual compares False against any bound; the audit must
     # still fail on it
-    monkeypatch.setattr(chain, "_level_solve", lambda P, n, low: np.full(2 * n, np.nan))
+    monkeypatch.setattr(chain, "_level_solve", lambda rates, wp, low: [math.nan] * (2 * len(wp)))
     with pytest.raises(NumericalFailure, match="normalization"):
         stationary_pmf_y(spec5, threshold_policy(5, 3))
 
@@ -222,16 +229,108 @@ def test_level_solve_underflow_raises(wp, level):
 
 
 def test_level_solve_uses_no_closure_and_no_lapack(monkeypatch, spec5):
+    # the laws and rates of the reduced chain build no dense matrix and
+    # call no LAPACK routine, also on a spec whose rates are not cached yet
     def boom(*args, **kwargs):
         raise AssertionError("called on the level solve's path")
 
     for name in dir(np.linalg):
         if callable(getattr(np.linalg, name)) and not isinstance(getattr(np.linalg, name), type):
             monkeypatch.setattr(np.linalg, name, boom)
-    for tau in range(2, 7):
-        stationary_pmf_y(spec5, threshold_policy(5, tau))
-    stationary_pmf_y(spec5, PolicyY([0.3, 1.0, 0.2, 0.7, 0.1]))
-    stationary_pmf_y(spec5, PolicyY([0.0, 0.2, 0.4, 0.6, 0.8]))  # the law at (1, A)
+    for module in (chain, model):
+        monkeypatch.setattr(module, "ybar_matrix", boom)
+    fresh = ServerSpec(n_s=5, mu=spec5.mu, rho_up=spec5.rho_up, rho_down=spec5.rho_down)
+    for spec in (fresh, spec5):
+        for tau in range(2, 7):
+            stationary_pmf_y(spec, threshold_policy(5, tau))
+            threshold_rates(spec, tau)
+        # the second policy's law is all at (1, A)
+        for phi in (PolicyY([0.3, 1.0, 0.2, 0.7, 0.1]), PolicyY([0.0, 0.2, 0.4, 0.6, 0.8])):
+            stationary_pmf_y(spec, phi)
+            service_rate(spec, phi)
+            utilization_rate_y(spec, phi)
+
+
+def test_chain_rates_are_model_constants(spec5):
+    # read once off the kernels, kept on the spec, unable to change, and
+    # not carried into copies
+    rates = chain._chain_rates(spec5)
+    assert chain._chain_rates(spec5) is rates
+    assert all(isinstance(r, tuple) for r in rates[:-1])
+    with pytest.raises(ValueError, match="read-only"):
+        rates.mu2[0] = 0.0
+    np.testing.assert_array_equal(rates.mu2, np.concatenate([spec5.mu, spec5.mu]))
+    assert "_chain_rates" not in vars(pickle.loads(pickle.dumps(spec5)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(1, 30),
+    kinds=st.lists(st.sampled_from("01u"), min_size=30, max_size=30),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_balance_audit_matches_dense_residual(n, kinds, seed):
+    # the audit's residual from in-flows is the dense ||pi P - pi||_inf on
+    # ybar_matrix, for the level solve's law and for vectors far from it
+    rng = np.random.default_rng(seed)
+    spec = _random_model(rng, n)
+    phi = PolicyY([{"0": 0.0, "1": 1.0}.get(k, rng.uniform()) for k in kinds[:n]])
+    P = ybar_matrix(spec, phi)
+    rates, wp = chain._chain_rates(spec), phi.work_prob.tolist()
+    vectors = [rng.random(2 * n) for _ in range(3)]
+    try:
+        vectors.append(stationary_pmf_y(spec, phi))
+    except NonUniqueStationaryError:
+        pass
+    for v in vectors:
+        pi = v / v.sum()
+        assert abs(chain._balance_residual(pi.tolist(), rates, wp) - balance_residual(P, pi)) <= 1e-15
+    pi[-1] = np.nan
+    assert math.isnan(chain._balance_residual(pi.tolist(), rates, wp))
+
+
+PINNED_PMF_OUTCOMES = {"solved": 713, "NonUniqueStationaryError": 147, "NumericalFailure": 370}
+PINNED_PMF_DIGEST = "fd59b753e1eeda04ea1a73c4a673ce4553d61051f2231f4baa9f2fcc032492cb"
+
+
+def _tiny_model(rng, n):
+    # rates log-uniform down to 1e-300, so that many pivots underflow
+    def draw(k):
+        return 10.0 ** rng.uniform(-300.0, -0.5, k)
+
+    return ServerSpec(n_s=n, mu=draw(n), rho_up=draw(n - 1), rho_down=draw(n - 1))
+
+
+def test_stationary_pmf_pinned_outputs():
+    # Every bit of every law is pinned, and every error by type, message
+    # and classes: one seeded model per n_s = 1..30 with ordinary rates and
+    # one with tiny rates, at every threshold and at two policies with
+    # entries 0, 1 or U(0, 1), each also with phi(1) = 0. A change to the
+    # arithmetic of the level solve changes the digest and has to
+    # re-record it on purpose.
+    h = hashlib.sha256()
+    outcomes = collections.Counter()
+    for tiny, make in ((False, _random_model), (True, _tiny_model)):
+        for n in range(1, 31):
+            rng = np.random.default_rng([25, n, tiny])
+            spec = make(rng, n)
+            policies = [threshold_policy(n, tau) for tau in range(1, n + 2)]
+            for row in rng.integers(0, 3, (2, n)):
+                wp = np.where(row == 0, 0.0, np.where(row == 1, 1.0, rng.uniform(size=n)))
+                rest_bottom = wp.copy()
+                rest_bottom[0] = 0.0
+                policies += [PolicyY(wp), PolicyY(rest_bottom)]
+            for phi in policies:
+                try:
+                    pi = stationary_pmf_y(spec, phi)
+                except (NonUniqueStationaryError, NumericalFailure) as exc:
+                    outcomes[type(exc).__name__] += 1
+                    h.update(repr((type(exc).__name__, str(exc), getattr(exc, "classes", None))).encode())
+                    continue
+                outcomes["solved"] += 1
+                h.update(pi.tobytes())
+    assert dict(outcomes) == PINNED_PMF_OUTCOMES
+    assert h.hexdigest() == PINNED_PMF_DIGEST
 
 
 def test_threshold_policy_shape():

@@ -185,6 +185,17 @@ def test_ybar_matrix_accepts_plain_arrays(spec2):
     np.testing.assert_array_equal(m1, m2)
 
 
+@pytest.mark.parametrize("wp", [[1.5, np.nan], [0.5, -0.25], [np.nan, 0.5]])
+def test_ybar_matrix_rejects_plain_arrays_outside_unit_interval(wp):
+    # a plain vector is checked as a PolicyY is, not turned into negative
+    # entries or NaN rows
+    spec = ServerSpec(n_s=2, mu=[0.5, 0.5], rho_up=[0.5], rho_down=[0.5])
+    with pytest.raises(ValueError, match=r"work probabilities must lie in \[0, 1\]"):
+        ybar_matrix(spec, wp)
+    with pytest.raises(ValueError, match="policy must give 2 work probabilities"):
+        ybar_matrix(spec, [0.5, 0.5, 0.5])
+
+
 def test_y_index_round_trip():
     for n in (1, 3, 5):
         seen = set()
