@@ -7,6 +7,7 @@ the balance equations, then rounded once to double precision.
 
 import collections
 import hashlib
+import itertools
 import math
 import pickle
 
@@ -470,6 +471,46 @@ def test_decompose_splits_stationary_pmf(spec5):
 def test_decompose_rejects_two_fractions(spec5):
     with pytest.raises(ValueError):
         decompose_dagger_policy(spec5, PolicyY(np.array([1.0, 0.5, 0.5, 0.0, 0.0])))
+
+
+PINNED_DAGGER_OUTCOMES = {"decomposed": 6156, "ValueError": 36}
+PINNED_DAGGER_DIGEST = "44d7a3ec2d591aeb3fd06f04f7d5ece1ff00307f20801e0ab2f85cc97c03cc15"
+
+
+def test_decompose_dagger_policy_pinned_outputs():
+    # Every bit of every decomposition is pinned, and every ValueError by
+    # message: three seeded models per n_s = 1..6, every {0, 1}^n_s base,
+    # alone and with each one entry replaced by 0.3, 0.77 or 1e-9, which
+    # covers phi(1) = 0, a fraction and 1; then two fractions and a policy
+    # of the wrong size on each model.
+    h = hashlib.sha256()
+    outcomes = collections.Counter()
+
+    def record(spec, wp):
+        try:
+            dec = decompose_dagger_policy(spec, PolicyY(wp))
+        except ValueError as exc:
+            outcomes["ValueError"] += 1
+            h.update(repr(("ValueError", str(exc))).encode())
+            return
+        outcomes["decomposed"] += 1
+        h.update(repr((dec.tau1, dec.tau2, float(dec.alpha).hex(), dec.beta)).encode())
+
+    for n in range(1, 7):
+        rng = np.random.default_rng([26, n])
+        for spec in [_random_model(rng, n) for _ in range(3)]:
+            for bits in itertools.product((0.0, 1.0), repeat=n):
+                base = np.array(bits)
+                record(spec, base)
+                for j in range(n):
+                    for frac in (0.3, 0.77, 1e-9):
+                        wp = base.copy()
+                        wp[j] = frac
+                        record(spec, wp)
+            record(spec, np.full(n + 1, 0.5))
+            record(spec, np.ones(n + 1))
+    assert dict(outcomes) == PINNED_DAGGER_OUTCOMES
+    assert h.hexdigest() == PINNED_DAGGER_DIGEST
 
 
 def test_no_policy_beats_best_threshold(spec5):
