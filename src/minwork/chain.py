@@ -48,6 +48,12 @@ class NonUniqueStationaryError(ValueError):
         super().__init__(f"non-unique stationary PMF: {len(classes)} recurrent classes")
 
 
+def _top_sure_level(wp: list) -> int:
+    """T, the top activity level (1-based) at which the work
+    probabilities wp work surely, or 0 if they work surely nowhere."""
+    return len(wp) - wp[::-1].index(1.0) if 1.0 in wp else 0
+
+
 def recurrent_sets(phi: PolicyY) -> list[list[int]]:
     """Recurrent classes of the reduced chain under phi, as sorted lists
     of indices in the fixed state order, read off the policy.
@@ -60,7 +66,7 @@ def recurrent_sets(phi: PolicyY) -> list[list[int]]:
     """
     wp = phi.work_prob.tolist()
     n = len(wp)
-    top = n - wp[::-1].index(1.0) if 1.0 in wp else 0
+    top = _top_sure_level(wp)
     classes = [[0]] if wp[0] == 0.0 else []
     if wp[0] > 0.0 or top > 0:
         low = max(top, 1) - 1
@@ -265,14 +271,15 @@ def max_service_rate(spec: ServerSpec):
 
 @dataclass(frozen=True)
 class PotentialFunction:
-    """Relative-value vector h >= 0 with min 0, and the average reward.
-
-    Satisfies, at every state m:
-    E[R(next, m)] - (E[h(next) | m] - h(m)) = r_avg.
+    """Relative-value vector h >= 0 with min 0, the average reward, and
+    residual, the largest violation over states m of
+    E[R(next, m)] - (E[h(next) | m] - h(m)) = r_avg,
+    which potential_function has checked against IDENTITY_TOL.
     """
 
     h: np.ndarray
     r_avg: float
+    residual: float
 
 
 def potential_function(spec: ServerSpec, phi: PolicyY, reward) -> PotentialFunction:
@@ -314,10 +321,10 @@ def potential_function(spec: ServerSpec, phi: PolicyY, reward) -> PotentialFunct
     f = np.zeros(n)
     f[keep] = f_keep
     h = f - f.min()
-    resid = np.max(np.abs(g - (P @ h - h) - r_avg))
+    resid = float(np.max(np.abs(g - (P @ h - h) - r_avg)))
     if not np.isfinite(resid) or resid > IDENTITY_TOL:
         raise NumericalFailure(f"potential identity residual {resid:.3e} exceeds {IDENTITY_TOL}")
-    return PotentialFunction(h=h, r_avg=r_avg)
+    return PotentialFunction(h=h, r_avg=r_avg, residual=resid)
 
 
 def service_reward(spec: ServerSpec, phi: PolicyY) -> np.ndarray:
@@ -435,18 +442,6 @@ class DaggerDecomposition(NamedTuple):
     beta: float | None
 
 
-def _dagger_parts(phi: PolicyY):
-    wp = phi.work_prob
-    frac = np.flatnonzero((wp > 0.0) & (wp < 1.0))
-    if frac.size > 1:
-        raise ValueError("policy randomizes at more than one available state")
-    ones = np.flatnonzero(wp == 1.0)
-    t_cap = int(ones[-1]) + 1 if ones.size else 0
-    s_rand = int(frac[0]) + 1 if frac.size else None
-    gamma = float(wp[frac[0]]) if frac.size else None
-    return t_cap, s_rand, gamma
-
-
 def _mix_alpha(spec: ServerSpec, tau1: int, tau2: int, gamma: float) -> float:
     """Mixture weight matching the randomization gamma at (tau2-1, A)."""
     i = y_index(spec.n_s, tau2 - 1, Availability.A)
@@ -459,43 +454,31 @@ def decompose_dagger_policy(spec: ServerSpec, phi: PolicyY) -> DaggerDecompositi
     """Express the long-run rates of a policy that is deterministic
     except at most one available state through threshold policies.
 
-    Case phi(1,A) = 1: the recurrent class is {s >= T} with
-    T = max{s : phi(s,A) = 1}; randomization below T is transient and
-    invisible, randomization at s' > T mixes the thresholds T+1 and
-    s'+1. Case phi(1,A) in (0,1): with T > 0 the rates are those of
-    threshold T+1; with T = 0 the policy mixes always-rest with
-    threshold 2. Case phi(1,A) = 0: (1,A) is absorbing; with T = 0 the
-    rates are (0,0), with T > 0 there are two recurrent classes and
-    beta is reported as None (free in [0, 1]).
+    One rule covers every case. T is the top level where phi works
+    surely (0 if none), as recurrent_sets reads it; s is the randomized
+    state, if any. Levels below max(T, 1) are transient, so a
+    randomization there is invisible. If s > T and the chain leaves
+    (1, A) (T >= 1 or phi(1, A) > 0), phi mixes thresholds T+1 and s+1
+    with the weight that matches phi(s, A) at (s, A); when T = 0 this
+    mixes always-rest with threshold 2. Otherwise the rates are those
+    of threshold T+1 alone. beta is 1.0 when phi(1, A) > 0 and None
+    (free in [0, 1]) when phi(1, A) = 0: (1, A) is then absorbing, and
+    with T >= 2 the levels from T up are a second recurrent class; with
+    T = 0 the rates are threshold 1's, (0, 0). Raises ValueError when
+    phi's size is not the spec's or phi randomizes at two states.
     """
     if phi.n_s != spec.n_s:
         raise ValueError("policy size does not match spec")
-    t_cap, s_rand, gamma = _dagger_parts(phi)
-    p1 = float(phi.work_prob[0])
-
-    if p1 == 1.0:
-        if s_rand is None or s_rand < t_cap:
-            return DaggerDecomposition(t_cap + 1, t_cap + 1, 0.0, 1.0)
-        tau1, tau2 = t_cap + 1, s_rand + 1
-        return DaggerDecomposition(tau1, tau2, _mix_alpha(spec, tau1, tau2, gamma), 1.0)
-
-    if p1 > 0.0:
-        # the single randomized state is (1, A) itself
-        if t_cap > 0:
-            return DaggerDecomposition(t_cap + 1, t_cap + 1, 0.0, 1.0)
-        # always-rest has all mass at (1, A), so its weight in the
-        # gamma identity is exactly 1.
-        i = y_index(spec.n_s, 1, Availability.A)
-        a = stationary_pmf_y(spec, threshold_policy(spec.n_s, 2))[i]
-        alpha = p1 / (p1 + (1.0 - p1) * a)
-        return DaggerDecomposition(1, 2, alpha, 1.0)
-
-    if t_cap == 0:
-        return DaggerDecomposition(1, 1, 0.0, None)
-    if s_rand is not None and s_rand > t_cap:
-        tau1, tau2 = t_cap + 1, s_rand + 1
-        return DaggerDecomposition(tau1, tau2, _mix_alpha(spec, tau1, tau2, gamma), None)
-    return DaggerDecomposition(t_cap + 1, t_cap + 1, 0.0, None)
+    wp = phi.work_prob.tolist()
+    frac = [s for s, p in enumerate(wp, 1) if 0.0 < p < 1.0]
+    if len(frac) > 1:
+        raise ValueError("policy randomizes at more than one available state")
+    top = _top_sure_level(wp)
+    beta = 1.0 if wp[0] > 0.0 else None
+    if frac and frac[0] > top and (top >= 1 or wp[0] > 0.0):
+        (s,) = frac
+        return DaggerDecomposition(top + 1, s + 1, _mix_alpha(spec, top + 1, s + 1, wp[s - 1]), beta)
+    return DaggerDecomposition(top + 1, top + 1, 0.0, beta)
 
 
 def dagger_rates(spec: ServerSpec, dec: DaggerDecomposition, beta: float = 1.0):

@@ -413,7 +413,7 @@ def ybar_matrix(spec: ServerSpec, phi) -> np.ndarray:
     if wp.shape != (spec.n_s,):
         raise ValueError(f"policy must give {spec.n_s} work probabilities, got shape {wp.shape}")
     pw, pr = _kernel_matrices(spec)
-    full = np.concatenate([wp, np.ones(spec.n_s)])[:, None]
+    full = phi.full[:, None]
     return full * pw + (1.0 - full) * pr
 
 

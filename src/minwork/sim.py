@@ -47,7 +47,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .chain import NEGATIVE_TOL, recurrent_sets, service_rate, stationary_pmf_y
+from .chain import NEGATIVE_TOL, _chain_rates, recurrent_sets, service_rate, stationary_pmf_y
 from .frontier import NotStabilizableError
 from .model import (
     Availability,
@@ -281,6 +281,8 @@ class QBDPMF:
 
     pi0 is the mass at (s, A, 0) for s = 1..n_s; level q >= 1 carries
     pi1 R^(q-1) over the reduced states in the fixed reduced order.
+    at_or_above is (I - R)^-1 1, the vector qbd_stationary solved for
+    its normalization: pi_q at_or_above is the mass at levels >= q.
     y_marginal sums the levels q >= 1; utilization and service_rate are
     the stationary probabilities of working and of a completion;
     mean_queue is E[q]; tail_decay is the spectral radius of R, the
@@ -291,6 +293,7 @@ class QBDPMF:
     pi0: np.ndarray
     pi1: np.ndarray
     R: np.ndarray
+    at_or_above: np.ndarray
     y_marginal: np.ndarray
     utilization: float
     service_rate: float
@@ -308,8 +311,7 @@ class QBDPMF:
         Squares R until the mass above 2^J is below tol, then descends
         through the binary digits of K, so the cost grows with log K.
         """
-        size = self.R.shape[0]
-        at_or_above = np.linalg.solve(np.eye(size) - self.R, np.ones(size))  # (I - R)^-1 1
+        at_or_above = self.at_or_above
         powers = [self.R]  # R^(2^j)
         while self.pi1 @ powers[-1] @ at_or_above >= tol:
             if len(powers) == QBD_MAX_STEPS:
@@ -393,7 +395,6 @@ def qbd_stationary(spec: ServerSpec, lam: float, theta: PolicyX) -> QBDPMF:
     n = spec.n_s
     base = theta.base  # raises ValueError unless theta is lifted
     work = base.full
-    mu = np.concatenate([spec.mu, spec.mu])
     (b0_up, up), (b0_local, local), (_, down) = _level_blocks(spec, lam, theta.table)
     b00, b01 = b0_local[:n, :n], b0_up[:n]
     b10 = np.ascontiguousarray(down[:, :n])
@@ -427,7 +428,7 @@ def qbd_stationary(spec: ServerSpec, lam: float, theta: PolicyX) -> QBDPMF:
         raise NumericalFailure(f"QBD solve failed: {exc}") from exc
     pi0, pi1 = x[:n], x[n:]
     pi2 = pi1 @ R
-    served = float(y_marg @ (work * mu))
+    served = float(y_marg @ (work * _chain_rates(spec).mu2))
     residual = max(  # balance at levels 0, 1 and 2; level q > 2 is level 2 times R^(q-2)
         np.abs(pi0 @ b00 + pi1 @ b10 - pi0).max(),
         np.abs(pi0 @ b01 + pi1 @ local + pi2 @ down - pi1).max(),
@@ -448,6 +449,7 @@ def qbd_stationary(spec: ServerSpec, lam: float, theta: PolicyX) -> QBDPMF:
         pi0=pi0,
         pi1=pi1,
         R=R,
+        at_or_above=at_or_above,
         y_marginal=y_marg,
         utilization=float(y_marg @ work),
         service_rate=served,

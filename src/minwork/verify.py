@@ -32,7 +32,7 @@ from .chain import (
     utilization_rate_y,
 )
 from .frontier import frontier, policy_from_occupation, solve_lp
-from .model import PolicyY, ServerSpec, ybar_matrix
+from .model import PolicyY, ServerSpec
 from .sim import SimConfig, qbd_stationary, simulate
 from .synthesis import STABLE, classify_stability, lift_policy, synthesize
 
@@ -224,12 +224,9 @@ def check_potential(spec: ServerSpec) -> tuple:
     worst_avg = 0.0
     for tau in range(2, spec.n_s + 2):
         phi = threshold_policy(spec.n_s, tau)
-        P = ybar_matrix(spec, phi)
-        g = service_reward(spec, phi)
-        pf = potential_function(spec, phi, g)
-        resid = float(np.max(np.abs(g - (P @ pf.h - pf.h) - pf.r_avg)))
+        pf = potential_function(spec, phi, service_reward(spec, phi))
         nu_tau, _ = threshold_rates(spec, tau)
-        worst_res = max(worst_res, resid)
+        worst_res = max(worst_res, pf.residual)
         worst_avg = max(worst_avg, abs(pf.r_avg - nu_tau))
     ok = worst_res <= 1e-9 and worst_avg <= 1e-10
     detail = (

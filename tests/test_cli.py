@@ -9,10 +9,11 @@ import numpy as np
 import pytest
 
 from minwork import verify
-from minwork.chain import threshold_rates
+from minwork.chain import max_service_rate, threshold_rates
 from minwork.cli import main
 from minwork.frontier import frontier
 from minwork.model import load_spec
+from test_synthesis import sweep_model
 
 
 def run(*args):
@@ -116,6 +117,15 @@ def test_exit_codes(config_path, tmp_path, capsys):
     assert "serves 0.14 per step at a nonempty queue" in capsys.readouterr().err
     # arrival rate not stabilizable
     assert run("policy", "--config", config_path, "--lambda", 0.4) == 3
+    # lam = nu*/2 can be stabilized, but the policy synthesize extracts on
+    # this 80-state model cannot: a numerical failure, not exit 3
+    spec = sweep_model(80, 2)
+    ns80 = tmp_path / "ns80.yaml"
+    ns80.write_text("n_s: 80\n" + "".join(f"{key}: {getattr(spec, key).tolist()!r}\n" for key in ("mu", "rho_up", "rho_down")))
+    capsys.readouterr()
+    assert run("policy", "--config", ns80, "--lambda", repr(0.5 * max_service_rate(spec)[0])) == 1
+    err = capsys.readouterr().err
+    assert "nu_bar=" in err and "eps=" in err and "no stationary law" in err
     # missing and malformed configs
     assert run("rates", "--config", tmp_path / "absent.yaml") == 2
     bad = tmp_path / "bad.yaml"

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from minwork.chain import service_rate, threshold_policy
+from minwork.chain import max_service_rate, service_rate, threshold_policy
 from minwork.frontier import NotStabilizableError, frontier
-from minwork.model import NumericalFailure, PolicyX, PolicyY
-from minwork.sim import TruncatedPMF, truncated_stationary_auto
+from minwork.model import NumericalFailure, PolicyX, PolicyY, ServerSpec
+from minwork.sim import TruncatedPMF, qbd_stationary, truncated_stationary_auto
 from minwork.synthesis import (
     EPS_GRID,
     NOT_GUARANTEED,
@@ -109,6 +109,14 @@ def test_classify_stability(spec5):
         classify_stability(spec5, 0.15, lift_policy(threshold_policy(5, 2)))
         == NOT_GUARANTEED
     )
+    # threshold 5 serves exactly 0.3; within DRIFT_TOL below that rate the
+    # QBD drift test finds no stationary law, so the label must not
+    # certify the policy either
+    theta = lift_policy(threshold_policy(5, 5))
+    lam = service_rate(spec5, theta.base) - 5e-13
+    with pytest.raises(NotStabilizableError, match="no stationary law"):
+        qbd_stationary(spec5, lam, theta)
+    assert classify_stability(spec5, lam, theta) == NOT_GUARANTEED
     with pytest.raises(ValueError):
         classify_stability(spec5, 0.15, object())
 
@@ -175,3 +183,28 @@ def test_synthesize_rejects_non_finite_arguments(spec5, lam, delta):
     with pytest.raises(ValueError, match="finite") as info:
         synthesize(spec5, lam=lam, delta=delta)
     assert type(info.value) is ValueError  # not NotStabilizableError, which the CLI maps to exit 3
+
+
+def sweep_model(n, seed):
+    """A random model: mu ~ U(0.02, 0.95), then rho_up and rho_down ~
+    U(0.02, 0.5), n - 1 of each, from default_rng([2026, n, seed])."""
+    rng = np.random.default_rng([2026, n, seed])
+    return ServerSpec(
+        n_s=n,
+        mu=rng.uniform(0.02, 0.95, n),
+        rho_up=rng.uniform(0.02, 0.5, n - 1),
+        rho_down=rng.uniform(0.02, 0.5, n - 1),
+    )
+
+
+@pytest.mark.parametrize("n, seed, share", [(80, 2, 0.5), (20, 2, 0.9)])
+def test_synthesize_unstable_extracted_policy_is_a_numerical_failure(n, seed, share):
+    # lam < nu*, so some policy stabilizes the queue; the extracted one has
+    # a recurrent phase class that serves less than lam (at n_s = 80 its
+    # upper regime's rest share rounds away, leaving levels 77-80 alone).
+    # That is the extraction's failure, not "no stabilizing policy"
+    spec = sweep_model(n, seed)
+    lam = share * max_service_rate(spec)[0]
+    with pytest.raises(NumericalFailure, match=r"nu_bar=\S+, eps=\S+ fails: the policy serves \S+ .* arrival rate") as info:
+        synthesize(spec, lam, 0.05)
+    assert isinstance(info.value.__cause__, NotStabilizableError)
