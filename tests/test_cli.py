@@ -121,7 +121,8 @@ def test_exit_codes(config_path, tmp_path, capsys):
     # this 80-state model cannot: a numerical failure, not exit 3
     spec = sweep_model(80, 2)
     ns80 = tmp_path / "ns80.yaml"
-    ns80.write_text("n_s: 80\n" + "".join(f"{key}: {getattr(spec, key).tolist()!r}\n" for key in ("mu", "rho_up", "rho_down")))
+    rows = [f"{key}: {getattr(spec, key).tolist()!r}\n" for key in ("mu", "rho_up", "rho_down")]
+    ns80.write_text("n_s: 80\n" + "".join(rows))
     capsys.readouterr()
     assert run("policy", "--config", ns80, "--lambda", repr(0.5 * max_service_rate(spec)[0])) == 1
     err = capsys.readouterr().err

@@ -205,6 +205,7 @@ def test_synthesize_unstable_extracted_policy_is_a_numerical_failure(n, seed, sh
     # That is the extraction's failure, not "no stabilizing policy"
     spec = sweep_model(n, seed)
     lam = share * max_service_rate(spec)[0]
-    with pytest.raises(NumericalFailure, match=r"nu_bar=\S+, eps=\S+ fails: the policy serves \S+ .* arrival rate") as info:
+    message = r"nu_bar=\S+, eps=\S+ fails: the policy serves \S+ .* arrival rate"
+    with pytest.raises(NumericalFailure, match=message) as info:
         synthesize(spec, lam, 0.05)
     assert isinstance(info.value.__cause__, NotStabilizableError)
