@@ -28,6 +28,7 @@ from .model import (
     PolicyY,
     ServerSpec,
     _kernel_matrices,
+    audit,
     y_index,
     ybar_matrix,
 )
@@ -108,38 +109,31 @@ def _chain_rates(spec: ServerSpec) -> _ChainRates:
     return rates
 
 
-def _balance_residual(pi: list, rates: _ChainRates, wp: list) -> float:
-    """||pi P - pi||_inf over all 2 n_s states for the reduced chain's P
-    under phi, from the in-flows of each state: (s, A) gains from
-    (s, A), (s, B), (s - 1, A), (s - 1, B) and, by a rest, (s + 1, A);
-    (s, B) from the same states less (s + 1, A). A NaN anywhere makes
-    the residual NaN."""
+def _balance_residual(rates: _ChainRates, work: list, rest: list) -> float:
+    """||out-flow - in-flow||_inf over all 2 n_s states of a state-action
+    measure on the reduced chain: work[i] is the work mass at state i in
+    the fixed order, rest[i] the rest mass at (i + 1, A). (s, A) sends
+    out work + rest and (s, B) work. P_W's rows are the same at (s, A)
+    and (s, B), so (s, A) gains the work mass of level s and s - 1 and,
+    by a rest, the rest mass at (s, A) and (s + 1, A); (s, B) the same
+    work mass alone. A NaN anywhere makes the residual NaN."""
     stay_a, stay_b, up_a, up_b, rest_stay, rest_down, _ = rates
-    n = len(wp)
+    n = len(rest)
     worst = 0.0
     for i in range(n):
-        pa, pb, w = pi[i], pi[n + i], wp[i]
-        to_a = pa * (w * stay_a[i] + (1.0 - w) * rest_stay[i]) + pb * stay_a[i]
-        to_b = pa * (w * stay_b[i]) + pb * stay_b[i]
+        wa, wb, r = work[i], work[n + i], rest[i]
+        to_a = (wa + wb) * stay_a[i] + r * rest_stay[i]
+        to_b = (wa + wb) * stay_b[i]
         if i:
-            qa, qb, v = pi[i - 1], pi[n + i - 1], wp[i - 1]
-            to_a += qa * (v * up_a[i - 1]) + qb * up_a[i - 1]
-            to_b += qa * (v * up_b[i - 1]) + qb * up_b[i - 1]
+            below = work[i - 1] + work[n + i - 1]
+            to_a += below * up_a[i - 1]
+            to_b += below * up_b[i - 1]
         if i < n - 1:
-            to_a += pi[i + 1] * ((1.0 - wp[i + 1]) * rest_down[i])
-        for r in (abs(to_a - pa), abs(to_b - pb)):
-            if r > worst or math.isnan(r):
-                worst = r
+            to_a += rest[i + 1] * rest_down[i]
+        for gap in (abs(to_a - (wa + r)), abs(to_b - wb)):
+            if gap > worst or math.isnan(gap):
+                worst = gap
     return worst
-
-
-def _audit(pi: list, rates: _ChainRates, wp: list) -> np.ndarray:
-    # "not r <= tol" so that a NaN residual fails too
-    if not abs(sum(pi) - 1.0) <= BALANCE_TOL:
-        raise NumericalFailure("stationary PMF fails sign or normalization checks")
-    if not _balance_residual(pi, rates, wp) <= BALANCE_TOL:
-        raise NumericalFailure("stationary PMF fails balance checks")
-    return np.array(pi)
 
 
 def stationary_pmf_y(spec: ServerSpec, phi: PolicyY) -> np.ndarray:
@@ -179,7 +173,14 @@ def stationary_pmf_y(spec: ServerSpec, phi: PolicyY) -> np.ndarray:
         pi[0] = 1.0
     else:
         pi = _level_solve(rates, wp, members[0])
-    return _audit(pi, rates, wp)
+    work = [p * w for p, w in zip(pi, wp)] + pi[spec.n_s :]
+    rest = [p * (1.0 - w) for p, w in zip(pi, wp)]
+    audit(
+        "stationary PMF",
+        ("normalization residual |total mass - 1|", abs(sum(pi) - 1.0), BALANCE_TOL),
+        ("balance residual", _balance_residual(rates, work, rest), BALANCE_TOL),
+    )
+    return np.array(pi)
 
 
 def _pivot(value: float, level: int) -> float:
@@ -273,7 +274,7 @@ def max_service_rate(spec: ServerSpec):
 class PotentialFunction:
     """Relative-value vector h >= 0 with min 0, the average reward, and
     residual, the largest violation over states m of
-    E[R(next, m)] - (E[h(next) | m] - h(m)) = r_avg,
+    g(m) - (E[h(next) | m] - h(m)) = r_avg,
     which potential_function has checked against IDENTITY_TOL.
     """
 
@@ -286,9 +287,8 @@ def potential_function(spec: ServerSpec, phi: PolicyY, reward) -> PotentialFunct
     """Solve the average-reward identity for the reduced chain under a
     policy with one recurrent class.
 
-    reward is either a vector g over states (reward earned on leaving
-    state m) or a matrix with reward[m, m'] earned on the transition
-    m -> m'; only the conditional expectation g(m) enters. P is
+    reward is a vector g over the 2 n_s reduced states, the reward
+    earned on leaving each; anything else raises ValueError. P is
     ybar_matrix and the stationary PMF is stationary_pmf_y's, which
     raises NonUniqueStationaryError on two recurrent classes. The anchor
     state is the first state with stationary mass, which is recurrent
@@ -299,13 +299,9 @@ def potential_function(spec: ServerSpec, phi: PolicyY, reward) -> PotentialFunct
     """
     P = ybar_matrix(spec, phi)
     n = P.shape[0]
-    reward = np.asarray(reward, dtype=float)
-    if reward.ndim == 2:
-        g = np.einsum("ij,ij->i", P, reward)
-    elif reward.ndim == 1:
-        g = reward
-    else:
-        raise ValueError("reward must be a vector over states or a matrix over state pairs")
+    g = np.asarray(reward, dtype=float)
+    if g.shape != (n,):
+        raise ValueError(f"reward must be a vector over the {n} reduced states, got shape {g.shape}")
 
     pi = stationary_pmf_y(spec, phi)
     r_avg = float(np.dot(pi, g))
@@ -322,8 +318,7 @@ def potential_function(spec: ServerSpec, phi: PolicyY, reward) -> PotentialFunct
     f[keep] = f_keep
     h = f - f.min()
     resid = float(np.max(np.abs(g - (P @ h - h) - r_avg)))
-    if not np.isfinite(resid) or resid > IDENTITY_TOL:
-        raise NumericalFailure(f"potential identity residual {resid:.3e} exceeds {IDENTITY_TOL}")
+    audit("potential", ("identity residual", resid, IDENTITY_TOL))
     return PotentialFunction(h=h, r_avg=r_avg, residual=resid)
 
 
@@ -481,14 +476,12 @@ def decompose_dagger_policy(spec: ServerSpec, phi: PolicyY) -> DaggerDecompositi
     return DaggerDecomposition(top + 1, top + 1, 0.0, beta)
 
 
-def dagger_rates(spec: ServerSpec, dec: DaggerDecomposition, beta: float = 1.0):
-    """Evaluate the mixture (service, utilization) for a decomposition.
-
-    beta is only consulted when the decomposition left it free.
-    """
-    scale = dec.beta if dec.beta is not None else beta
+def dagger_rates(spec: ServerSpec, dec: DaggerDecomposition):
+    """The mixture's (service, utilization) rates, (1 - alpha) times
+    threshold tau1's plus alpha times threshold tau2's: the rates at
+    beta = 1, also when the decomposition leaves beta free."""
     nu1, u1 = threshold_rates(spec, dec.tau1)
     nu2, u2 = threshold_rates(spec, dec.tau2)
-    nu = scale * ((1.0 - dec.alpha) * nu1 + dec.alpha * nu2)
-    u = scale * ((1.0 - dec.alpha) * u1 + dec.alpha * u2)
+    nu = (1.0 - dec.alpha) * nu1 + dec.alpha * nu2
+    u = (1.0 - dec.alpha) * u1 + dec.alpha * u2
     return nu, u

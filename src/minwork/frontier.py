@@ -27,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import NumericalFailure, PolicyY, ServerSpec, _kernel_matrices
-from .chain import stationary_pmf_y, threshold_rates
+from .model import PolicyY, ServerSpec, _kernel_matrices, audit
+from .chain import _balance_residual, _chain_rates, stationary_pmf_y, threshold_rates
 from .simplex import solve_simplex  # noqa: F401 - bench/tracing.py wraps it under this module
 
 MASS_TOL = 1e-9
@@ -67,16 +67,11 @@ class OccupationMeasure:
     def service_rate(self, spec: ServerSpec) -> float:
         return float(np.dot(spec.mu, self.work_a + self.work_b))
 
-    def state_marginal(self) -> np.ndarray:
-        """Mass per reduced state in the fixed order."""
-        return np.concatenate([self.work_a + self.rest_a, self.work_b])
-
     def flow_residual(self, spec: ServerSpec) -> float:
-        """Max-norm violation of stationarity: out-mass minus in-mass."""
-        pw, pr = _kernel_matrices(spec)
-        n = self.n_s
-        inflow = np.concatenate([self.work_a, self.work_b]) @ pw + self.rest_a @ pr[:n]
-        return float(np.max(np.abs(self.state_marginal() - inflow)))
+        """Max-norm violation of stationarity, out-mass minus in-mass at
+        each reduced state (chain._balance_residual)."""
+        work = np.concatenate([self.work_a, self.work_b]).tolist()
+        return _balance_residual(_chain_rates(spec), work, self.rest_a.tolist())
 
     def as_dict(self) -> dict:
         out = {}
@@ -223,13 +218,12 @@ def solve_lp(spec: ServerSpec, nu_bar: float, eps: float) -> LpResult:
     work_a = x[:n]
     rest_a = np.concatenate((x[n:], work_a @ rest_map))
     measure = OccupationMeasure(work_a=work_a, rest_a=rest_a, work_b=work_a @ busy, floor=eps)
-    for name, value in (
-        ("flow residual", measure.flow_residual(spec)),
-        ("service-rate residual |service rate - nu_bar|", abs(measure.service_rate(spec) - nu_bar)),
-        ("mass residual |total mass - 1|", abs(measure.total_mass - 1.0)),
-    ):
-        if not value <= MASS_TOL:  # NaN fails too
-            raise NumericalFailure(f"occupation LP audit: {name} {value:.3e} exceeds {MASS_TOL:g}")
+    audit(
+        "occupation LP",
+        ("flow residual", measure.flow_residual(spec), MASS_TOL),
+        ("service-rate residual |service rate - nu_bar|", abs(measure.service_rate(spec) - nu_bar), MASS_TOL),
+        ("mass residual |total mass - 1|", abs(measure.total_mass - 1.0), MASS_TOL),
+    )
     return LpResult(value=measure.utilization(), measure=measure, feasible=True)
 
 

@@ -35,6 +35,14 @@ class NumericalFailure(RuntimeError):
     """
 
 
+def audit(what: str, *checks) -> None:
+    """Raise NumericalFailure naming the first (quantity, value, bound)
+    check whose value is not <= bound, so that a NaN fails too."""
+    for quantity, value, bound in checks:
+        if not value <= bound:
+            raise NumericalFailure(f"{what} audit: {quantity} {value:.3e} exceeds {bound:g}")
+
+
 class Availability(enum.IntEnum):
     A = 0  # available: may work or rest
     B = 1  # busy: a task is in service, work is forced

@@ -56,6 +56,7 @@ from .model import (
     ServerSpec,
     SystemState,
     _kernel_matrices,
+    audit,
     check_state,
     y_state,
 )
@@ -227,20 +228,20 @@ def truncated_stationary(spec: ServerSpec, lam: float, theta: PolicyX, q_max: in
             pi = spla.spsolve(A, rhs)
         except (RuntimeError, spla.MatrixRankWarning) as exc:
             raise NumericalFailure(f"truncated stationary solve failed: {exc}") from exc
-    if not np.all(np.isfinite(pi)):
-        raise NumericalFailure("truncated stationary solve produced non-finite values")
-    total = pi.sum()
-    if not np.isfinite(total) or total <= 0.0:
-        raise NumericalFailure("truncated stationary solve produced non-normalizable mass")
+    total = pi.sum()  # NaN or inf if any entry is
+    if not 0.0 < total < np.inf:
+        raise NumericalFailure(f"truncated stationary solve total mass {total:.3e} is not finite and positive")
     pi = pi / total
     pi = np.where(np.abs(pi) < 1e-15, 0.0, pi)
-    if np.any(pi < -NEGATIVE_TOL):
-        raise NumericalFailure("truncated stationary solve produced negative mass")
+    audit("truncated oracle", ("negative mass", -pi.min(), NEGATIVE_TOL))
     pi = np.clip(pi, 0.0, None)
     pi = pi / pi.sum()
     residual = float(np.max(np.abs(pi @ P - pi)))
-    if residual > 1e-9 or abs(pi.sum() - 1.0) > NORMALIZATION_TOL:
-        raise NumericalFailure(f"truncated balance residual {residual:.3e} too large")
+    audit(
+        "truncated oracle",
+        ("normalization residual", abs(pi.sum() - 1.0), NORMALIZATION_TOL),
+        ("balance residual", residual, 1e-9),
+    )
 
     tail = float(pi[n + (q_max - 1) * 2 * n :].sum())
     return TruncatedPMF(n_s=n, q_max=q_max, probs=pi, tail_mass=tail, balance_residual=residual)
@@ -398,12 +399,9 @@ def qbd_stationary(spec: ServerSpec, lam: float, theta: PolicyX) -> QBDPMF:
     (b0_up, up), (b0_local, local), (_, down) = _level_blocks(spec, lam, theta.table)
     b00, b01 = b0_local[:n, :n], b0_up[:n]
     b10 = np.ascontiguousarray(down[:, :n])
-    classes = recurrent_sets(base)
-    if base.work_prob[0] > 0.0:
-        (slowest,) = classes
-        rate = service_rate(spec, base, stationary_pmf_y(spec, base))
-    else:  # (1, A) is absorbing and serves nothing
-        rate, slowest = 0.0, classes[0]
+    slowest = recurrent_sets(base)[0]
+    # when base rests at (1, A), (1, A) is absorbing and serves nothing
+    rate = service_rate(spec, base, stationary_pmf_y(spec, base)) if base.work_prob[0] > 0.0 else 0.0
     if not rate > lam + DRIFT_TOL:
         states = ", ".join(f"({y.s}, {y.w.name})" for y in (y_state(n, i) for i in slowest))
         raise NotStabilizableError(
@@ -434,15 +432,13 @@ def qbd_stationary(spec: ServerSpec, lam: float, theta: PolicyX) -> QBDPMF:
         np.abs(pi0 @ b01 + pi1 @ local + pi2 @ down - pi1).max(),
         np.abs(pi1 @ up + pi2 @ local + pi2 @ R @ down - pi2).max(),
     )
-    audits = (
+    audit(
+        "QBD oracle",
         ("served-rate residual |service rate - lam|", abs(served - lam), FLOW_TOL),
         ("balance residual", residual, QBD_BALANCE_TOL),
         ("negative mass", -min(x.min(), y_marg.min(), 0.0), NEGATIVE_TOL),
         ("normalization residual", abs(pi0.sum() + y_marg.sum() - 1.0), NORMALIZATION_TOL),
     )
-    for name, value, bound in audits:
-        if not value <= bound:  # a NaN fails too
-            raise NumericalFailure(f"QBD oracle audit: {name} {value:.3e} exceeds {bound:g}")
     pi0, pi1, y_marg = (np.clip(v, 0.0, None) for v in (pi0, pi1, y_marg))
     return QBDPMF(
         n_s=n,

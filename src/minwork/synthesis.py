@@ -22,7 +22,7 @@ from .frontier import (
     policy_from_occupation,
     solve_lp,
 )
-from .model import NumericalFailure, PolicyX, PolicyY, ServerSpec, ServerState
+from .model import NumericalFailure, PolicyX, PolicyY, ServerSpec, y_state
 from .sim import DRIFT_TOL, TruncatedPMF, qbd_stationary
 from .sim import truncated_stationary_auto  # noqa: F401 - bench/tracing.py wraps it under this module
 
@@ -95,8 +95,7 @@ def project_policy(theta: PolicyX, pi_x: TruncatedPMF) -> PolicyY:
 
     dead = np.flatnonzero(den == 0.0)
     if dead.size:
-        states = [ServerState(int(i % n) + 1, int(i // n)) for i in dead]
-        raise ProjectionUndefinedError(states)
+        raise ProjectionUndefinedError([y_state(n, int(i)) for i in dead])
     ratio = num / den
     return PolicyY(work_prob=np.clip(ratio[:n], 0.0, 1.0))
 
@@ -176,15 +175,16 @@ def synthesize(spec: ServerSpec, lam: float, delta: float) -> SynthesisResult:
             smallest_gap=3.0 * best_eps_gap,
         )
 
-    # monotonicity confirmation on the working service-rate grid
-    working = [lam + (nu_dag - lam) * 2.0**-m for m in range(MAX_HALVINGS, 0, -1)]
-    working.append(nu_dag)
+    # monotonicity confirmation at the first, middle and last points of
+    # the working service-rate grid: lam + span 2^-m for
+    # m = MAX_HALVINGS..1, then nu_dag
+    span = nu_dag - lam
     eps_star = None
     remaining = [e for e in EPS_GRID if e <= eps_dag]
     for eps in remaining:
         values = []
         ok = True
-        for nu in (working[0], working[len(working) // 2], working[-1]):
+        for nu in (lam + span * 2.0**-MAX_HALVINGS, lam + span * 2.0**-(MAX_HALVINGS // 2), nu_dag):
             res = lp(eps, nu)
             if not res.feasible:
                 ok = False

@@ -180,19 +180,24 @@ def check_extraction_roundtrip(spec: ServerSpec) -> tuple:
 
 
 def _random_dagger_policy(rng, n_s: int) -> PolicyY:
+    """phi(1, A) = 1 and 0 or 1 above. Half the time one uniformly drawn
+    state gets a fraction instead; when that state is (1, A), half the
+    time every level above rests (T = 0)."""
     wp = np.zeros(n_s)
     wp[0] = 1.0
-    if n_s > 1:
-        wp[1:] = rng.integers(0, 2, size=n_s - 1).astype(float)
-        if rng.random() < 0.5:
-            j = int(rng.integers(1, n_s))
-            wp[j] = float(rng.uniform(0.05, 0.95))
+    wp[1:] = rng.integers(0, 2, size=n_s - 1).astype(float)
+    if rng.random() < 0.5:
+        j = int(rng.integers(0, n_s))
+        if j == 0 and rng.random() < 0.5:
+            wp[1:] = 0.0
+        wp[j] = float(rng.uniform(0.05, 0.95))
     return PolicyY(work_prob=wp)
 
 
 def check_decomposition(spec: ServerSpec, seed: int) -> tuple:
-    """Rates and stationary PMFs of almost-deterministic policies with
-    a working lowest state match their threshold mixture."""
+    """Rates and stationary PMFs of almost-deterministic policies that
+    work at (1, A) with positive probability match their threshold
+    mixture."""
     rng = np.random.default_rng(seed)
     worst_rate = 0.0
     worst_pmf = 0.0

@@ -7,7 +7,10 @@ report. Parameters are fixed (lam=0.15, seed=0) to match the reference
 values frozen inside the checks.
 """
 
+import numpy as np
+
 from minwork import verify
+from minwork.chain import decompose_dagger_policy
 
 
 def _run(spec, cid):
@@ -42,6 +45,16 @@ def test_c06_extraction_round_trip(spec5):
 
 
 def test_c07_two_threshold_decomposition(spec5):
+    _run(spec5, "C7")
+
+
+def test_c07_covers_a_fraction_at_the_bottom_state(spec5):
+    # at seed 0, C7 draws a policy randomizing at (1, A) with rest above
+    # it, T = 0, which mixes always-rest with threshold 2, and passes
+    rng = np.random.default_rng(0)
+    policies = [verify._random_dagger_policy(rng, 5) for _ in range(verify.DECOMPOSITION_POLICIES)]
+    bottom = [phi for phi in policies if 0.0 < phi.work_prob[0] < 1.0 and not phi.work_prob[1:].any()]
+    assert bottom and all(decompose_dagger_policy(spec5, phi)[:2] == (1, 2) for phi in bottom)
     _run(spec5, "C7")
 
 

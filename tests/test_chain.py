@@ -10,15 +10,17 @@ import hashlib
 import itertools
 import math
 import pickle
+import re
 
 import mpmath
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
 from dense_chain import balance_residual, classes_by_search, stationary_by_class
 
-from minwork import chain, model
+from minwork import chain, model, sim
 from minwork.chain import (
     DaggerDecomposition,
     NonUniqueStationaryError,
@@ -34,7 +36,9 @@ from minwork.chain import (
     threshold_rates,
     utilization_rate_y,
 )
+from minwork.frontier import solve_lp
 from minwork.model import NumericalFailure, PolicyY, ServerSpec, ybar_matrix
+from minwork.synthesis import lift_policy
 
 # (tau, service rate, utilization rate) for the five-state example
 REFERENCE_TABLE = (
@@ -264,6 +268,13 @@ def test_chain_rates_are_model_constants(spec5):
     assert "_chain_rates" not in vars(pickle.loads(pickle.dumps(spec5)))
 
 
+def _split(pi, wp):
+    """A law's state-action measure under work probabilities wp: work mass
+    per reduced state, rest mass per available state."""
+    n = len(wp)
+    return [p * w for p, w in zip(pi, wp)] + list(pi[n:]), [p * (1.0 - w) for p, w in zip(pi, wp)]
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     n=st.integers(1, 30),
@@ -271,8 +282,9 @@ def test_chain_rates_are_model_constants(spec5):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_balance_audit_matches_dense_residual(n, kinds, seed):
-    # the audit's residual from in-flows is the dense ||pi P - pi||_inf on
-    # ybar_matrix, for the level solve's law and for vectors far from it
+    # the one in-flow routine matches dense products to 1e-15: ||pi P - pi||
+    # on ybar_matrix for the level solve's law and for vectors far from it,
+    # and out-mass minus in-mass through P_W and P_R for solve_lp's measures
     rng = np.random.default_rng(seed)
     spec = _random_model(rng, n)
     phi = PolicyY([{"0": 0.0, "1": 1.0}.get(k, rng.uniform()) for k in kinds[:n]])
@@ -285,9 +297,20 @@ def test_balance_audit_matches_dense_residual(n, kinds, seed):
         pass
     for v in vectors:
         pi = v / v.sum()
-        assert abs(chain._balance_residual(pi.tolist(), rates, wp) - balance_residual(P, pi)) <= 1e-15
+        assert abs(chain._balance_residual(rates, *_split(pi.tolist(), wp)) - balance_residual(P, pi)) <= 1e-15
     pi[-1] = np.nan
-    assert math.isnan(chain._balance_residual(pi.tolist(), rates, wp))
+    assert math.isnan(chain._balance_residual(rates, *_split(pi.tolist(), wp)))
+
+    pw, pr = model._kernel_matrices(spec)
+    nu_star, _ = max_service_rate(spec)
+    for nu_bar, eps in ((rng.uniform(0.0, nu_star), 0.0), (rng.uniform(0.0, nu_star), rng.uniform()), (nu_star, 1e-3)):
+        res = solve_lp(spec, nu_bar, eps)
+        if not res.feasible:
+            continue
+        m = res.measure
+        inflow = np.concatenate([m.work_a, m.work_b]) @ pw + m.rest_a @ pr[:n]
+        dense = np.max(np.abs(np.concatenate([m.work_a + m.rest_a, m.work_b]) - inflow))
+        assert abs(m.flow_residual(spec) - dense) <= 1e-15
 
 
 PINNED_PMF_OUTCOMES = {"solved": 713, "NonUniqueStationaryError": 147, "NumericalFailure": 370}
@@ -382,13 +405,68 @@ def test_potential_identity_threshold_policies(spec5):
         assert pot.h.min() == 0.0
 
 
-def test_potential_accepts_transition_rewards():
-    spec, phi = _one_state_spec(), PolicyY([0.25])
-    P = ybar_matrix(spec, phi)
-    R = np.array([[0.0, 1.0], [1.0, 0.0]])  # reward on switching
-    pot = potential_function(spec, phi, R)
-    g = np.einsum("ij,ij->i", P, R)
-    assert pot.r_avg == pytest.approx(stationary_pmf_y(spec, phi) @ g, abs=1e-12)
+def test_potential_rejects_rewards_not_over_states(spec5):
+    # only a vector over the 2 n_s reduced states is a reward; a matrix
+    # over state pairs or a vector of another length is not
+    phi = threshold_policy(5, 3)
+    for reward in (np.zeros((10, 10)), np.zeros(5), 1.0):
+        with pytest.raises(ValueError, match="reward must be a vector over the 10 reduced states"):
+            potential_function(spec5, phi, reward)
+
+
+_level_solve, _spsolve, _clip = chain._level_solve, spla.spsolve, np.clip  # before any test patches them
+
+
+def _law_times_two(rates, wp, low):
+    return [2.0 * p for p in _level_solve(rates, wp, low)]
+
+
+def _uniform_law(rates, wp, low):
+    return [1.0 / (2 * len(wp))] * (2 * len(wp))
+
+
+def _spsolve_negative(A, rhs):
+    x = _spsolve(A, rhs)
+    x[-1] = -x.max()
+    return x
+
+
+def _clip_leaving_nan(a, *args, **kwargs):
+    out = _clip(a, *args, **kwargs)
+    out[0] = np.nan
+    return out
+
+
+@pytest.mark.parametrize(
+    ("what", "quantity", "bound", "patch"),
+    [
+        ("stationary PMF", "normalization residual |total mass - 1|", 1e-10, (chain, "_level_solve", _law_times_two)),
+        ("stationary PMF", "balance residual", 1e-10, (chain, "_level_solve", _uniform_law)),
+        ("potential", "identity residual", 1e-9, None),
+        ("truncated oracle", "negative mass", 1e-12, (sim.spla, "spsolve", _spsolve_negative)),
+        ("truncated oracle", "balance residual", 1e-9, (sim.spla, "spsolve", lambda A, rhs: np.ones(rhs.size))),
+        ("truncated oracle", "normalization residual", 1e-10, (np, "clip", _clip_leaving_nan)),
+    ],
+    ids=["pmf-normalization", "pmf-balance", "potential", "truncated-negative", "truncated-balance", "truncated-nan"],
+)
+def test_audit_failure_names_quantity_value_and_bound(monkeypatch, spec5, what, quantity, bound, patch):
+    # each audit, broken, raises through model.audit: a law solved twice
+    # over or uniform, a reward of 1e12 whose round-off exceeds the
+    # identity's bound, and truncated solves with a negative entry, a
+    # uniform answer, or a NaN left by the clip, which compares False
+    # against the bound and must fail all the same
+    if patch is not None:
+        monkeypatch.setattr(*patch)
+    phi = threshold_policy(5, 3)
+    if what == "truncated oracle":
+        run = lambda: sim.truncated_stationary(spec5, 0.15, lift_policy(phi), 8)  # noqa: E731
+    elif what == "potential":
+        run = lambda: potential_function(spec5, phi, 1e12 * service_reward(spec5, phi))  # noqa: E731
+    else:
+        run = lambda: stationary_pmf_y(spec5, phi)  # noqa: E731
+    message = rf"^{what} audit: {re.escape(quantity)} (\d\.\d{{3}}e[+-]\d\d|nan) exceeds {bound:g}$"
+    with pytest.raises(NumericalFailure, match=message):
+        run()
 
 
 def test_mixing_constants_recomputed(spec5):

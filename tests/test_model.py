@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from minwork.model import (
     Action,
     Availability,
+    NumericalFailure,
     PolicyX,
     PolicyY,
     ServerSpec,
@@ -18,6 +19,7 @@ from minwork.model import (
     activity_transition,
     admissible_actions_x,
     admissible_actions_y,
+    audit,
     load_spec,
     x_transition,
     y_index,
@@ -43,6 +45,15 @@ def specs(draw, max_n=4):
 
 
 lams = st.floats(min_value=0.01, max_value=0.99)
+
+
+def test_audit_raises_on_the_first_check_over_its_bound():
+    audit("demo", ("a", 1e-10, 1e-9), ("b", 0.0, 0.0))
+    with pytest.raises(NumericalFailure, match=r"^demo audit: b 2\.000e-09 exceeds 1e-09$"):
+        audit("demo", ("a", 1e-9, 1e-9), ("b", 2e-9, 1e-9), ("c", 1.0, 1e-9))
+    # a NaN compares False against any bound and fails all the same
+    with pytest.raises(NumericalFailure, match=r"^demo audit: a nan exceeds 1$"):
+        audit("demo", ("a", float("nan"), 1.0))
 
 
 def test_admissible_actions():

@@ -5,7 +5,7 @@ import pytest
 
 from minwork.chain import max_service_rate, service_rate, threshold_policy
 from minwork.frontier import NotStabilizableError, frontier
-from minwork.model import NumericalFailure, PolicyX, PolicyY, ServerSpec
+from minwork.model import Availability, NumericalFailure, PolicyX, PolicyY, ServerSpec
 from minwork.sim import TruncatedPMF, qbd_stationary, truncated_stationary_auto
 from minwork.synthesis import (
     EPS_GRID,
@@ -85,6 +85,14 @@ def test_projection_undefined_on_dead_state():
     with pytest.raises(ProjectionUndefinedError) as err:
         project_policy(theta, pmf)
     assert len(err.value.states) >= 1
+
+
+def test_projection_undefined_names_states_by_availability():
+    theta = lift_policy(PolicyY(np.array([0.5, 0.5])))
+    pmf = _pmf_from_masses(2, 2, {(2, 0, 1): 0.5, (1, 1, 1): 0.5})
+    with pytest.raises(ProjectionUndefinedError, match=r"zero mass: \(s=1, A\), \(s=2, B\)$") as err:
+        project_policy(theta, pmf)
+    assert err.value.states == ((1, Availability.A), (2, Availability.B))
 
 
 def test_projection_of_exact_stationary_serves_lam(spec5):
