@@ -12,8 +12,11 @@ quasi-birth-death process and its stationary law is matrix-geometric,
 pi_(q+1) = pi_q R (Neuts 1981), with G from logarithmic reduction
 (Latouche & Ramaswami 1993). Before it solves, its drift test reads
 the reduced chain's law from chain.stationary_pmf_y, the one solver of
-that chain. Every answer is audited for flow conservation, balance,
-sign and normalization.
+that chain. A policy that passes it has a stochastic G, so the
+reduction runs on blocks shifted to move G's eigenvalue 1 to 0 (He,
+Meini & Rhee 2001) and takes a few steps however close the queue is
+to null recurrence. Every answer is audited for precision near null
+recurrence, flow conservation, balance, sign and normalization.
 
 The truncated oracle caps the queue at q_max and blocks arrivals at
 the cap, which keeps the kernel row-stochastic and biases utilization
@@ -62,7 +65,7 @@ from .model import (
 )
 
 QBD_MAX_STEPS = 64  # each reduction step or squaring doubles the levels covered
-QBD_T_TOL = 1e-15  # ||T||_inf bounds what further reduction steps add to G's rows
+QBD_T_TOL = 1e-15  # bound on ||T|| ||b_down||, which bounds the reduction's next increment to G
 FLOW_TOL = 1e-9  # |service rate - lam|
 DRIFT_TOL = 1e-12  # a service rate within this of lam is lam: the drift test's round-off margin
 QBD_BALANCE_TOL = 1e-12
@@ -330,30 +333,43 @@ def _log_reduction(up: np.ndarray, local: np.ndarray, down: np.ndarray) -> np.nd
     """G, the minimal solution of G = down + local G + up G^2: the
     phase in which the chain first enters the level below.
 
-    Logarithmic reduction (Latouche & Ramaswami 1993). After step k, G
-    holds the first passages that stay below 2^k levels up, and T is
-    the weight of those that do not; its row sums bound what is left.
+    Requires G 1 = 1, which holds once qbd_stationary's drift test has
+    passed: the level then falls below any start surely. Every first
+    passage lands on an available phase, so with v uniform over the n_s
+    of them, H = G - 1 v solves the same equation with the shifted
+    blocks up, local + up 1 v and down - down 1 v (He, Meini & Rhee
+    2001), and G's eigenvalue 1 is 0 in H. Logarithmic reduction
+    (Latouche & Ramaswami 1993) on those blocks then converges at rate
+    |lambda_2(G)| sp(R), not sp(R), and G's busy columns stay zero.
+    After step k, H holds the first passages that stay below 2^k levels
+    up and T is the weight of those that do not; the stop test takes
+    ||T|| ||b_down|| as the size of the next step's increment T b_down.
     """
-    eye = np.eye(up.shape[0])
-    b_up = np.linalg.solve(eye - local, up)
-    b_down = np.linalg.solve(eye - local, down)
-    G, T = b_down.copy(), b_up.copy()
-    with np.errstate(all="ignore"):  # a diverging T raises below instead of warning
+    m = up.shape[0]
+    n = m // 2
+    v = np.zeros(m)
+    v[:n] = 1.0 / n
+    eye = np.eye(m)
+    local = local + np.outer(up.sum(axis=1), v)
+    down = down - np.outer(down.sum(axis=1), v)
+    b_up, b_down = np.hsplit(np.linalg.solve(eye - local, np.hstack([up, down])), 2)
+    H, T = b_down.copy(), b_up.copy()
+    with np.errstate(all="ignore"):  # a diverging reduction raises below instead of warning
         for step in range(1, QBD_MAX_STEPS + 1):
             mix = eye - b_up @ b_down - b_down @ b_up
-            b_up, b_down = np.linalg.solve(mix, b_up @ b_up), np.linalg.solve(mix, b_down @ b_down)
-            G += T @ b_down
+            b_up, b_down = np.hsplit(np.linalg.solve(mix, np.hstack([b_up @ b_up, b_down @ b_down])), 2)
+            H += T @ b_down
             T = T @ b_up
-            t_norm = float(np.abs(T).sum(axis=1).max())
-            if t_norm < QBD_T_TOL:
-                return G
-            if not np.isfinite(t_norm):
+            bound = float(np.abs(T).sum(axis=1).max() * np.abs(b_down).sum(axis=1).max())
+            if bound < QBD_T_TOL:
+                return H + v
+            if not np.isfinite(bound):
                 raise NumericalFailure(
-                    f"logarithmic reduction: ||T|| = {t_norm} is not finite after {step} steps; "
+                    f"logarithmic reduction: ||T|| ||b_down|| = {bound} is not finite after {step} steps; "
                     "the policy may not stabilize the arrival rate"
                 )
     raise NumericalFailure(
-        f"logarithmic reduction: ||T|| = {t_norm:.3e} still not below {QBD_T_TOL:g} "
+        f"logarithmic reduction: ||T|| ||b_down|| = {bound:.3e} still not below {QBD_T_TOL:g} "
         f"after {QBD_MAX_STEPS} steps; the policy may not stabilize the arrival rate"
     )
 
@@ -387,9 +403,11 @@ def qbd_stationary(spec: ServerSpec, lam: float, theta: PolicyX) -> QBDPMF:
     q >= 1, NotStabilizableError naming the service rate, lam and the
     class when a recurrent class of the phases serves no more than
     lam + DRIFT_TOL, and NumericalFailure naming
-    the quantity, its value and its bound when the service rate misses
-    lam, the balance equations, the sign or the normalization fail
-    their audit.
+    the quantity, its value and its bound when the precision estimate
+    eps / (1 - sp(R))^2 exceeds 1 (the queue is too close to null
+    recurrence for double precision), the service rate misses lam, or
+    the balance equations, the sign or the normalization fail their
+    audit.
     """
     if not 0.0 < lam < 1.0:
         raise ValueError("lam must lie in (0, 1)")
@@ -432,8 +450,15 @@ def qbd_stationary(spec: ServerSpec, lam: float, theta: PolicyX) -> QBDPMF:
         np.abs(pi0 @ b01 + pi1 @ local + pi2 @ down - pi1).max(),
         np.abs(pi1 @ up + pi2 @ local + pi2 @ R @ down - pi2).max(),
     )
+    tail_decay = float(np.abs(np.linalg.eigvals(R)).max())
+    # near null recurrence E[q] is ill-conditioned: on example1 the exact
+    # law of the blocks as rounded to double, whose rows miss 1 by about
+    # eps, moved E[q] by 1e-5 to 1.2e-4 of this estimate, relative. It
+    # reaches 1 at 1 - sp(R) = sqrt(eps)
+    precision = np.finfo(float).eps / (1.0 - tail_decay) ** 2 if tail_decay < 1.0 else np.inf
     audit(
         "QBD oracle",
+        ("precision estimate eps / (1 - sp(R))^2", precision, 1.0),
         ("served-rate residual |service rate - lam|", abs(served - lam), FLOW_TOL),
         ("balance residual", residual, QBD_BALANCE_TOL),
         ("negative mass", -min(x.min(), y_marg.min(), 0.0), NEGATIVE_TOL),
@@ -450,7 +475,7 @@ def qbd_stationary(spec: ServerSpec, lam: float, theta: PolicyX) -> QBDPMF:
         utilization=float(y_marg @ work),
         service_rate=served,
         mean_queue=float(y_marg @ at_or_above),  # pi1 (I - R)^-2 1
-        tail_decay=float(np.abs(np.linalg.eigvals(R)).max()),
+        tail_decay=tail_decay,
         balance_residual=float(residual),
     )
 

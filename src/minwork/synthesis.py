@@ -128,7 +128,11 @@ def synthesize(spec: ServerSpec, lam: float, delta: float) -> SynthesisResult:
     utilization of the extracted lifted policy, computed exactly by
     qbd_stationary, clears frontier(lam) + delta. A policy whose oracle
     audits fail, or whose queue the oracle finds unstable although
-    lam < nu*, raises NumericalFailure.
+    lam < nu*, raises NumericalFailure. So does a policy so close to null
+    recurrence that double precision cannot resolve its queue, where the
+    oracle's precision estimate eps / (1 - sp(R))^2 exceeds 1; on
+    example1 at lam = 0.15 that refuses delta <= 1e-4 and certifies
+    delta >= 3e-4.
     """
     if not 0.0 < delta < np.inf:
         raise ValueError("delta must be positive and finite")

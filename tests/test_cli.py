@@ -183,9 +183,10 @@ def test_out_of_range_flags_exit_2_naming_the_flag(config_path, capsys, args, fl
 def test_policy_tight_delta_exit_codes(config_path, capsys):
     assert run("policy", "--config", config_path, "--lambda", 0.15, "--delta", 0.005) == 0
     assert "exact QBD oracle" in capsys.readouterr().out
-    # the oracle's flow audit fails: a numerical failure, named
+    # the oracle's precision audit fails: a numerical failure, named
     assert run("policy", "--config", config_path, "--lambda", 0.15, "--delta", 1e-6) == 1
-    assert "served-rate residual" in capsys.readouterr().err
+    quantity = "QBD oracle audit: precision estimate eps / (1 - sp(R))^2 "
+    assert re.fullmatch(f"error: {re.escape(quantity)}\\S+ exceeds 1\n", capsys.readouterr().err)
 
 
 def test_verify_subset(config_path, tmp_path, capsys):

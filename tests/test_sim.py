@@ -395,14 +395,31 @@ def test_drift_verdict_matches_dense_reference(n, kinds, sure_nowhere, factor, s
     assert str(err.value).endswith(f"(phase class {{{states}}})")
 
 
-def test_log_reduction_reports_a_diverging_t(spec5):
-    # at nu_bar = lam = 0.2 the LP policy is null recurrent: T overflows
-    # instead of vanishing, and that is named, with no warning escaping
+def test_log_reduction_converges_at_null_recurrence(spec5):
+    # at nu_bar = lam = 0.2 the LP policy is null recurrent: G is still
+    # stochastic, so the shifted reduction converges to it, while the
+    # oracle's drift test refuses the policy before any solve
     theta = lift_policy(policy_from_occupation(solve_lp(spec5, 0.2, 1e-3).measure))
     (_, up), (_, local), (_, down) = sim._level_blocks(spec5, 0.2, theta.table)
+    G = sim._log_reduction(up, local, down)
+    assert np.abs(G.sum(axis=1) - 1.0).max() <= 1e-14
+    assert np.abs(down + local @ G + up @ G @ G - G).max() <= 1e-14
+    assert G.min() >= -1e-15
+    assert not G[:, 5:].any()  # every first passage lands on an available phase
+    with pytest.raises(NotStabilizableError, match="not more than the arrival rate 0.2"):
+        qbd_stationary(spec5, 0.2, theta)
+
+
+def test_log_reduction_reports_a_diverging_t(spec5):
+    # a policy that works surely serves less than lam = 0.5, so G is not
+    # stochastic and the shifted reduction, which needs G 1 = 1, blows up;
+    # that is named, with no warning escaping
+    theta = lift_policy(PolicyY(np.ones(5)))
+    (_, up), (_, local), (_, down) = sim._level_blocks(spec5, 0.5, theta.table)
+    message = r"\|\|T\|\| \|\|b_down\|\| = (inf|nan) is not finite after \d+ steps"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(NumericalFailure, match=r"\|\|T\|\| = (inf|nan) is not finite after \d+ steps"):
+        with pytest.raises(NumericalFailure, match=message):
             sim._log_reduction(up, local, down)
 
 

@@ -1,8 +1,13 @@
 """Lifting, projection, stability labels, and the synthesis loop."""
 
+import re
+
 import numpy as np
 import pytest
 
+from qbd_reference import mp_qbd, unshifted_log_reduction
+
+from minwork import sim
 from minwork.chain import max_service_rate, service_rate, threshold_policy
 from minwork.frontier import NotStabilizableError, frontier
 from minwork.model import Availability, NumericalFailure, PolicyX, PolicyY, ServerSpec
@@ -17,6 +22,9 @@ from minwork.synthesis import (
     project_policy,
     synthesize,
 )
+
+# the oracle's refusal near null recurrence, named in full
+PRECISION_FAILURE = re.escape("QBD oracle audit: precision estimate eps / (1 - sp(R))^2 ") + r"\S+ exceeds 1$"
 
 
 def _pmf_from_masses(n_s, q_max, masses):
@@ -164,11 +172,56 @@ def test_synthesize_tight_delta_certifies(spec5):
     assert 0.9999 < res.tail_decay < 1.0
 
 
-def test_synthesize_reports_failed_flow_audit(spec5):
-    # at delta = 1e-6 the accepted service rate sits so close to lam that
-    # the exact solve loses the flow identity; it must not be returned
-    with pytest.raises(NumericalFailure, match=r"served-rate residual .* exceeds 1e-09"):
-        synthesize(spec5, lam=0.15, delta=1e-6)
+@pytest.mark.parametrize("delta", [1e-4, 1e-5, 1e-6])
+def test_synthesize_refuses_near_null_recurrence(spec5, delta):
+    # the accepted service rate sits so close to lam that 1 - sp(R) is
+    # below sqrt(eps) (7.9e-9 at delta = 1e-4): double precision no longer
+    # resolves the queue's decay rate, and the answer must not be returned
+    with pytest.raises(NumericalFailure, match=PRECISION_FAILURE):
+        synthesize(spec5, lam=0.15, delta=delta)
+
+
+@pytest.mark.parametrize("delta", [0.04, 1e-3])
+def test_qbd_matches_the_mpmath_reference(spec5, delta):
+    # 1 - sp(R) is 3.5e-3 and 1.3e-6, and E[q] 284 and 7.9e5
+    res = synthesize(spec5, lam=0.15, delta=delta)
+    utilization, mean_queue = mp_qbd(spec5, 0.15, res.policy)
+    assert abs(res.verified_utilization - utilization) <= 1e-11
+    assert res.mean_queue == pytest.approx(mean_queue, rel=1e-7, abs=0.0)
+
+
+@pytest.mark.parametrize("delta", [0.04, 1e-3])
+def test_log_reduction_takes_few_steps_near_null_recurrence(spec5, delta, monkeypatch):
+    # the unshifted reduction takes 13 and 24 steps on these policies: a
+    # fall back to it would keep every result and lose the speed
+    theta = synthesize(spec5, lam=0.15, delta=delta).policy
+    (_, up), (_, local), (_, down) = sim._level_blocks(spec5, 0.15, theta.table)
+    monkeypatch.setattr(sim, "QBD_MAX_STEPS", 4)
+    G = sim._log_reduction(up, local, down)
+    assert np.abs(G.sum(axis=1) - 1.0).max() <= 1e-14
+
+
+def test_qbd_matches_the_unshifted_reduction(spec5, monkeypatch):
+    # example1's policies at delta 0.1 and 0.04, and those synthesized on
+    # random models at lam = nu*/2 whose 1 - sp(R) is at least 1e-3
+    cases = [(spec5, 0.15, synthesize(spec5, 0.15, delta).policy) for delta in (0.1, 0.04)]
+    for n in range(2, 9):
+        for seed in range(6):
+            spec = sweep_model(n, seed)
+            lam = 0.5 * max_service_rate(spec)[0]
+            try:
+                res = synthesize(spec, lam, 0.05)
+            except NumericalFailure:
+                continue
+            if res.tail_decay <= 1.0 - 1e-3:
+                cases.append((spec, lam, res.policy))
+    assert len(cases) >= 15
+    shifted = [qbd_stationary(*case) for case in cases]
+    monkeypatch.setattr(sim, "_log_reduction", unshifted_log_reduction)
+    for case, new in zip(cases, shifted):
+        old = qbd_stationary(*case)
+        assert abs(new.utilization - old.utilization) <= 1e-12
+        assert new.mean_queue == pytest.approx(old.mean_queue, rel=1e-10, abs=0.0)
 
 
 def test_synthesize_loose_delta_accepts_fast(spec5):
