@@ -12,6 +12,8 @@ order, in time linear in n_s, with the recurrent classes read off the
 policy (recurrent_sets). It reads the per-level rates of P_W and P_R
 that the spec keeps (_chain_rates), builds no 2 n_s x 2 n_s matrix,
 and audits its answer in O(n_s). There is no general-matrix solver.
+It keeps each audited law on its policy, so the service and
+utilization rates of one policy share one solve.
 """
 
 from __future__ import annotations
@@ -159,7 +161,16 @@ def stationary_pmf_y(spec: ServerSpec, phi: PolicyY) -> np.ndarray:
     ValueError when phi's size is not the spec's, and NumericalFailure
     when a pivot or the total mass is not a finite normal float, or the
     answer fails its normalization or balance audit.
+
+    The policy is immutable, so a law that passes its audits is kept on
+    phi, keyed by the spec object, and returned read-only; a later call
+    with the same spec object returns that same array. Another spec
+    object, equal or not, gets its own solve, and a call that raises
+    keeps nothing, so it raises again.
     """
+    kept = getattr(phi, "_law", None)
+    if kept is not None and kept[0] is spec:
+        return kept[1]
     if phi.n_s != spec.n_s:
         raise ValueError(f"policy must give {spec.n_s} work probabilities, got shape {phi.work_prob.shape}")
     rates = _chain_rates(spec)
@@ -180,7 +191,10 @@ def stationary_pmf_y(spec: ServerSpec, phi: PolicyY) -> np.ndarray:
         ("normalization residual |total mass - 1|", abs(sum(pi) - 1.0), BALANCE_TOL),
         ("balance residual", _balance_residual(rates, work, rest), BALANCE_TOL),
     )
-    return np.array(pi)
+    law = np.array(pi)
+    law.setflags(write=False)
+    object.__setattr__(phi, "_law", (spec, law))
+    return law
 
 
 def _pivot(value: float, level: int) -> float:
@@ -227,19 +241,15 @@ def _level_solve(rates: _ChainRates, wp: list, low: int) -> list:
     return [v / total for v in pa + pb]
 
 
-def service_rate(spec: ServerSpec, phi: PolicyY, pi: np.ndarray | None = None) -> float:
+def service_rate(spec: ServerSpec, phi: PolicyY) -> float:
     """Stationary expected completions per step of the reduced chain:
     sum over states of mu(s) * phi(y) * pi(y)."""
-    if pi is None:
-        pi = stationary_pmf_y(spec, phi)
-    return float(np.dot(pi * phi.full, _chain_rates(spec).mu2))
+    return float(np.dot(stationary_pmf_y(spec, phi) * phi.full, _chain_rates(spec).mu2))
 
 
-def utilization_rate_y(spec: ServerSpec, phi: PolicyY, pi: np.ndarray | None = None) -> float:
+def utilization_rate_y(spec: ServerSpec, phi: PolicyY) -> float:
     """Stationary probability of choosing to work."""
-    if pi is None:
-        pi = stationary_pmf_y(spec, phi)
-    return float(np.dot(pi, phi.full))
+    return float(np.dot(stationary_pmf_y(spec, phi), phi.full))
 
 
 def threshold_policy(n_s: int, tau: int) -> PolicyY:
@@ -252,8 +262,7 @@ def threshold_policy(n_s: int, tau: int) -> PolicyY:
 def threshold_rates(spec: ServerSpec, tau: int):
     """(service rate, utilization rate) of the threshold policy."""
     phi = threshold_policy(spec.n_s, tau)
-    pi = stationary_pmf_y(spec, phi)
-    return service_rate(spec, phi, pi), utilization_rate_y(spec, phi, pi)
+    return service_rate(spec, phi), utilization_rate_y(spec, phi)
 
 
 def max_service_rate(spec: ServerSpec):

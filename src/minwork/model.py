@@ -156,13 +156,16 @@ class PolicyY:
     """Stationary randomized policy on the reduced space.
 
     work_prob[s-1] = phi(s, A) in [0, 1]. Busy states have phi(s, B) = 1
-    forced by non-preemption and are not stored.
+    forced by non-preemption and are not stored. The policy keeps a
+    read-only copy of the array passed in, so nothing can change it
+    after validation; chain.stationary_pmf_y keeps the policy's law on
+    it.
     """
 
     work_prob: np.ndarray
 
     def __post_init__(self):
-        wp = np.asarray(self.work_prob, dtype=float)
+        wp = np.array(self.work_prob, dtype=float)
         if wp.ndim != 1 or wp.size < 1:
             raise ValueError("work_prob must be a nonempty 1-d array")
         if not np.all((wp >= 0.0) & (wp <= 1.0)):
@@ -170,7 +173,13 @@ class PolicyY:
         wp.setflags(write=False)
         object.__setattr__(self, "work_prob", wp)
 
-    # Policies compare and hash by value, as ServerSpec does.
+    def __reduce__(self):
+        # copies and unpickled policies go through validation again, so
+        # their arrays are read-only too and carry no law of another policy
+        return (PolicyY, (self.work_prob,))
+
+    # Policies compare and hash by value, as ServerSpec does; the kept law
+    # takes no part.
     def __eq__(self, other):
         if not isinstance(other, PolicyY):
             return NotImplemented
@@ -227,6 +236,9 @@ class PolicyX:
             raise ValueError("busy rows must work")
         t.setflags(write=False)
         object.__setattr__(self, "table", t)
+
+    def __reduce__(self):
+        return (PolicyX, (self.table,))
 
     def __eq__(self, other):
         if not isinstance(other, PolicyX):

@@ -50,7 +50,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .chain import NEGATIVE_TOL, _chain_rates, recurrent_sets, service_rate, stationary_pmf_y
+from .chain import NEGATIVE_TOL, _chain_rates, recurrent_sets, stationary_pmf_y
 from .frontier import NotStabilizableError
 from .model import (
     Availability,
@@ -418,8 +418,9 @@ def qbd_stationary(spec: ServerSpec, lam: float, theta: PolicyX) -> QBDPMF:
     b00, b01 = b0_local[:n, :n], b0_up[:n]
     b10 = np.ascontiguousarray(down[:, :n])
     slowest = recurrent_sets(base)[0]
+    mu2 = _chain_rates(spec).mu2
     # when base rests at (1, A), (1, A) is absorbing and serves nothing
-    rate = service_rate(spec, base, stationary_pmf_y(spec, base)) if base.work_prob[0] > 0.0 else 0.0
+    rate = float(np.dot(stationary_pmf_y(spec, base) * work, mu2)) if base.work_prob[0] > 0.0 else 0.0
     if not rate > lam + DRIFT_TOL:
         states = ", ".join(f"({y.s}, {y.w.name})" for y in (y_state(n, i) for i in slowest))
         raise NotStabilizableError(
@@ -444,7 +445,7 @@ def qbd_stationary(spec: ServerSpec, lam: float, theta: PolicyX) -> QBDPMF:
         raise NumericalFailure(f"QBD solve failed: {exc}") from exc
     pi0, pi1 = x[:n], x[n:]
     pi2 = pi1 @ R
-    served = float(y_marg @ (work * _chain_rates(spec).mu2))
+    served = float(y_marg @ (work * mu2))
     residual = max(  # balance at levels 0, 1 and 2; level q > 2 is level 2 times R^(q-2)
         np.abs(pi0 @ b00 + pi1 @ b10 - pi0).max(),
         np.abs(pi0 @ b01 + pi1 @ local + pi2 @ down - pi1).max(),

@@ -105,8 +105,10 @@ def classify_stability(spec: ServerSpec, lam: float, theta: PolicyX) -> str:
     irreducible and aperiodic when the base policy works with positive
     probability at the lowest available state and out-serves the
     arrival rate by more than DRIFT_TOL, the margin of qbd_stationary's
-    drift test. The converse is not decided; a policy that is not a
-    lifted PolicyX raises ValueError."""
+    drift test. The converse is not decided; lam outside (0, 1) and a
+    policy that is not a lifted PolicyX raise ValueError."""
+    if not 0.0 < lam < 1.0:
+        raise ValueError("lam must lie in (0, 1)")
     if not isinstance(theta, PolicyX):
         raise ValueError("classification requires a lifted policy")
     base = theta.base

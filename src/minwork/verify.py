@@ -43,6 +43,7 @@ TABLE_TOL = 5e-4
 DECOMPOSITION_POLICIES = 100  # random policies C7 decomposes
 SYNTHESIS_DELTA = 0.05  # the gap C9 synthesizes for
 CONVERGENCE_LAM = 0.15  # the arrival rate C10's service-rate targets and last-distance bound are set for
+NU_GRID_POINTS = 21  # service-rate targets C4 and C5 sweep, from 0.01 nu* to 0.99 nu*
 
 
 @dataclass(frozen=True)
@@ -103,8 +104,8 @@ def check_frontier_shape(spec: ServerSpec) -> tuple:
     return ok, detail, {**values, "bp_err": bp_err}
 
 
-def _nu_grid(nu_star: float, num: int = 21) -> np.ndarray:
-    return np.linspace(0.01 * nu_star, 0.99 * nu_star, num)
+def _nu_grid(nu_star: float) -> np.ndarray:
+    return np.linspace(0.01 * nu_star, 0.99 * nu_star, NU_GRID_POINTS)
 
 
 def check_lp_hull(spec: ServerSpec) -> tuple:
@@ -117,7 +118,8 @@ def check_lp_hull(spec: ServerSpec) -> tuple:
         if not res.feasible:
             return False, f"LP infeasible at nu_bar={nu:.6f}", {}
         worst = max(worst, abs(res.value - front(float(nu))))
-    return worst <= 1e-6, f"max |LP - hull| = {worst:.2e} over 21 grid values (tol 1e-06)", {"max_gap": worst}
+    detail = f"max |LP - hull| = {worst:.2e} over {NU_GRID_POINTS} grid values (tol 1e-06)"
+    return worst <= 1e-6, detail, {"max_gap": worst}
 
 
 def _c5_nu(front) -> float:
@@ -166,9 +168,8 @@ def check_extraction_roundtrip(spec: ServerSpec) -> tuple:
         return False, f"LP infeasible at nu_bar={nu_ref}", {}
     phi = policy_from_occupation(res.measure)
     floor = float(phi.work_prob[0])
-    pi = stationary_pmf_y(spec, phi)
-    nu_phi = service_rate(spec, phi, pi)
-    u_phi = utilization_rate_y(spec, phi, pi)
+    nu_phi = service_rate(spec, phi)
+    u_phi = utilization_rate_y(spec, phi)
     nu_err = abs(nu_phi - nu_ref)
     u_err = abs(u_phi - res.value)
     ok = floor >= eps - 1e-12 and nu_err <= 1e-8 and u_err <= 1e-8
@@ -206,8 +207,8 @@ def check_decomposition(spec: ServerSpec, seed: int) -> tuple:
         dec = decompose_dagger_policy(spec, phi)
         nu_mix, u_mix = dagger_rates(spec, dec)
         pi = stationary_pmf_y(spec, phi)
-        nu_d = service_rate(spec, phi, pi)
-        u_d = utilization_rate_y(spec, phi, pi)
+        nu_d = service_rate(spec, phi)
+        u_d = utilization_rate_y(spec, phi)
         worst_rate = max(worst_rate, abs(nu_mix - nu_d), abs(u_mix - u_d))
         pi1 = stationary_pmf_y(spec, threshold_policy(spec.n_s, dec.tau1))
         pi2 = stationary_pmf_y(spec, threshold_policy(spec.n_s, dec.tau2))

@@ -469,6 +469,74 @@ def test_audit_failure_names_quantity_value_and_bound(monkeypatch, spec5, what, 
         run()
 
 
+def _counted_level_solves(monkeypatch, solve=_level_solve):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(chain, "_level_solve", counted)
+    return calls
+
+
+def test_rates_of_one_policy_share_one_solve(monkeypatch, spec5):
+    calls = _counted_level_solves(monkeypatch)
+    phi = PolicyY([0.3, 1.0, 0.2, 0.7, 0.1])
+    service_rate(spec5, phi)
+    utilization_rate_y(spec5, phi)
+    law = stationary_pmf_y(spec5, phi)
+    assert stationary_pmf_y(spec5, phi) is law
+    assert len(calls) == 1
+    threshold_rates(spec5, 3)
+    assert len(calls) == 2
+
+
+def test_kept_law_is_keyed_by_the_spec_object(monkeypatch, spec5):
+    # an equal spec object and a different one each get their own solve,
+    # and neither is handed the law kept for spec5
+    calls = _counted_level_solves(monkeypatch)
+    phi = PolicyY([0.3, 1.0, 0.2, 0.7, 0.1])
+    law = stationary_pmf_y(spec5, phi)
+    equal = ServerSpec(n_s=5, mu=spec5.mu, rho_up=spec5.rho_up, rho_down=spec5.rho_down)
+    other = ServerSpec(n_s=5, mu=[0.2, 0.4, 0.6, 0.4, 0.2], rho_up=spec5.rho_up, rho_down=spec5.rho_down)
+    for spec in (equal, other):
+        solved = len(calls)
+        got = stationary_pmf_y(spec, phi)
+        assert got is not law and stationary_pmf_y(spec, phi) is got and len(calls) == solved + 1
+        assert got.tobytes() == stationary_pmf_y(spec, PolicyY(phi.work_prob)).tobytes()
+    assert not np.array_equal(stationary_pmf_y(other, phi), law)
+    assert stationary_pmf_y(spec5, phi).tobytes() == law.tobytes()
+
+
+def test_kept_law_is_read_only_and_bit_equal_to_a_fresh_solve(spec5):
+    phi = PolicyY([0.3, 1.0, 0.2, 0.7, 0.1])
+    law = stationary_pmf_y(spec5, phi)
+    assert not law.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        law[0] = 0.0
+    fresh = stationary_pmf_y(spec5, PolicyY([0.3, 1.0, 0.2, 0.7, 0.1]))
+    assert law.tobytes() == fresh.tobytes()
+
+
+def test_a_call_that_raises_keeps_no_law(monkeypatch, spec5):
+    # (1, A) absorbing and the levels from 3 up: two classes, each call
+    phi = PolicyY([0.0, 0.0, 1.0, 0.0, 0.0])
+    for _ in range(2):
+        with pytest.raises(NonUniqueStationaryError):
+            stationary_pmf_y(spec5, phi)
+    phi = PolicyY([0.3, 1.0, 0.2, 0.7, 0.1])
+    calls = _counted_level_solves(monkeypatch, _uniform_law)
+    for _ in range(2):
+        with pytest.raises(NumericalFailure, match="balance residual"):
+            stationary_pmf_y(spec5, phi)
+    assert len(calls) == 2
+    # with a sound solve the law is solved once more, then kept
+    calls = _counted_level_solves(monkeypatch)
+    law = stationary_pmf_y(spec5, phi)
+    assert stationary_pmf_y(spec5, phi) is law and len(calls) == 1
+
+
 def test_mixing_constants_recomputed(spec5):
     lam, eps = 0.15, 1e-3
     mc = mixing_constants(spec5, lam, eps, s_star=5)

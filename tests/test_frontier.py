@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
 
-from minwork.chain import max_service_rate, service_rate, stationary_pmf_y, utilization_rate_y
+from minwork.chain import max_service_rate, service_rate, utilization_rate_y
 from minwork.frontier import (
     MASS_TOL,
     Frontier,
@@ -165,9 +165,8 @@ def test_eps_one_forbids_resting_at_bottom(spec5):
 def test_extraction_round_trip(spec5):
     res = solve_lp(spec5, 0.25, 1e-3)
     phi = policy_from_occupation(res.measure)
-    pi = stationary_pmf_y(spec5, phi)
-    assert service_rate(spec5, phi, pi) == pytest.approx(0.25, abs=1e-8)
-    assert utilization_rate_y(spec5, phi, pi) == pytest.approx(res.value, abs=1e-8)
+    assert service_rate(spec5, phi) == pytest.approx(0.25, abs=1e-8)
+    assert utilization_rate_y(spec5, phi) == pytest.approx(res.value, abs=1e-8)
     # and back: the induced measure reproduces the LP measure
     m2 = occupation_from_policy(spec5, phi)
     np.testing.assert_allclose(m2.work_a, res.measure.work_a, atol=1e-8)

@@ -28,6 +28,7 @@ from minwork.model import (
     ybar_matrix,
     _kernel_matrices,
 )
+from minwork.chain import stationary_pmf_y
 from minwork.synthesis import lift_policy
 
 A, B = Availability.A, Availability.B
@@ -111,6 +112,33 @@ def test_spec_is_immutable(spec5):
         assert not twin.mu.flags.writeable
         assert "_kernels" not in vars(twin)
         np.testing.assert_array_equal(twin.rho_down, spec.rho_down)
+
+
+def test_policy_is_immutable(spec5):
+    a = np.array([1.0, 1.0, 1.0, 1.0, 0.0])
+    phi = PolicyY(a)
+    before = hash(phi)
+    with pytest.raises(ValueError, match="read-only"):
+        phi.work_prob[4] = 1.0
+    # the policy keeps its own copy: the caller's array stays writeable and
+    # changing it reaches neither the policy nor its hash
+    a[4] = 1.0
+    assert phi.work_prob[4] == 0.0 and hash(phi) == before
+
+
+def test_policy_copies_are_validated(spec5):
+    # copies and unpickled policies are built anew: their arrays are
+    # read-only and they carry no law kept on the policy they copy
+    phi = PolicyY([0.3, 1.0, 0.2, 0.7, 0.1])
+    stationary_pmf_y(spec5, phi)
+    for twin in (copy.deepcopy(phi), pickle.loads(pickle.dumps(phi))):
+        assert twin == phi
+        assert not twin.work_prob.flags.writeable
+        assert "_law" not in vars(twin)
+    theta = lift_policy(phi)
+    for twin in (copy.deepcopy(theta), pickle.loads(pickle.dumps(theta))):
+        assert twin == theta
+        assert not twin.table.flags.writeable
 
 
 @pytest.mark.parametrize("name", ["spec2", "spec5"])

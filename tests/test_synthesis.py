@@ -133,6 +133,12 @@ def test_classify_stability(spec5):
     with pytest.raises(NotStabilizableError, match="no stationary law"):
         qbd_stationary(spec5, lam, theta)
     assert classify_stability(spec5, lam, theta) == NOT_GUARANTEED
+
+
+@pytest.mark.parametrize("lam", [-0.5, 0.0, 1.0, 1.5, np.nan, np.inf])
+def test_classify_stability_rejects_lam_outside_unit_interval(spec5, lam):
+    with pytest.raises(ValueError, match=re.escape("lam must lie in (0, 1)")):
+        classify_stability(spec5, lam, lift_policy(threshold_policy(5, 5)))
     with pytest.raises(ValueError):
         classify_stability(spec5, 0.15, object())
 
